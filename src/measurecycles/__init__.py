@@ -33,6 +33,7 @@ from .errors import (
     IrrationalBreakpointPreimage,
     IrrationalCriticalPoint,
     IrrationalRootBoundary,
+    KernelValidationError,
     MeasureChainError,
     NoRepresentableInvariant,
     NonAtomicGenerator,
@@ -48,7 +49,7 @@ from .errors import (
     SpecValidationError,
 )
 from .functions import PiecewisePolyFunction, integrate
-from .kernels import DeterministicKernel, Kernel, KernelValidationError, StochasticKernel
+from .kernels import DeterministicKernel, Kernel, StochasticKernel
 from .measures import (
     Generator,
     GeneratorKind,

@@ -37,8 +37,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SpecValidationError
-from .kernels import DeterministicKernel, Kernel, KernelValidationError, StochasticKernel
+from .errors import MeasureChainError, SpecValidationError
+from .kernels import DeterministicKernel, Kernel, StochasticKernel
 from .measures import Measure
 from .polynomials import Polynomial
 from .rationals import parse_rational
@@ -112,8 +112,8 @@ def _parse_stochastic(obj: dict, diags: _Collector) -> Optional[StochasticKernel
         return None
     try:
         return StochasticKernel(tuple(states), tuple(rows))
-    except KernelValidationError as e:
-        diags.add(e.code, "$.matrix", str(e))
+    except MeasureChainError as e:
+        diags.add(getattr(e, "code", type(e).__name__), "$.matrix", str(e))
         return None
 
 
@@ -166,8 +166,8 @@ def _parse_deterministic(obj: dict, diags: _Collector) -> Optional[Deterministic
         return None
     try:
         return DeterministicKernel(space, tuple(pieces))
-    except KernelValidationError as e:
-        diags.add(e.code, "$.pieces", str(e))
+    except MeasureChainError as e:
+        diags.add(getattr(e, "code", type(e).__name__), "$.pieces", str(e))
         return None
 
 

@@ -19,7 +19,7 @@ from .errors import InvariantViolation, MeasureChainError, NotACycle, PeriodMism
 from .kernels import Kernel, StochasticKernel
 from .measures import Measure, is_disjoint
 from .rationals import parse_rational
-from .sets import SetExpr
+from .sets import _component_cuts
 
 
 class CycleKind(Enum):
@@ -219,20 +219,20 @@ def decompose_cycle(cycle: Cycle) -> DecomposedCycle:
     return DecomposedCycle(ca_side, pfa_side, ca_parts, pfa_parts, disjoint)
 
 
-def measure_rank(measures: Sequence[Measure]) -> int:
-    """Exact rank of the measures over the union of their generators."""
-    basis = sorted(
-        {g for m in measures for g in m.generators()}, key=lambda g: g.sort_key()
-    )
-    if not basis:
-        return 0
-    rows = [[m.coefficient(g) for g in basis] for m in measures]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < len(basis):
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Exact Gauss-Jordan elimination in place over the first ncols columns.
+
+    Pivot rows end up on top, scaled to a leading 1 with zeros above and below
+    it; entries past ncols (an augmented side) are carried along.  Returns the
+    pivot columns in order, so their number is the rank.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
@@ -241,9 +241,17 @@ def measure_rank(measures: Sequence[Measure]) -> int:
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def measure_rank(measures: Sequence[Measure]) -> int:
+    """Exact rank of the measures over the union of their generators."""
+    basis = sorted(
+        {g for m in measures for g in m.generators()}, key=lambda g: g.sort_key()
+    )
+    rows = [[m.coefficient(g) for g in basis] for m in measures]
+    return len(row_reduce(rows, len(basis)))
 
 
 def linearly_independent(measures: Sequence[Measure]) -> bool:
@@ -252,13 +260,7 @@ def linearly_independent(measures: Sequence[Measure]) -> bool:
 
 def _deterministic_seeds(kernel) -> list[Measure]:
     seeds: list[Measure] = []
-    boundaries = sorted(
-        {
-            v
-            for comp, _ in kernel.pieces
-            for v in SetExpr.from_components([comp]).finite_boundary_values()
-        }
-    )
+    boundaries = sorted({v for comp, _ in kernel.pieces for v in _component_cuts(comp)})
     for v in boundaries:
         if kernel.space.contains_point(v):
             seeds.append(Measure.dirac(v))

@@ -59,6 +59,15 @@ class NotFiniteChain(MeasureChainError):
     """The operation is defined for finite stochastic kernels only."""
 
 
+class KernelValidationError(MeasureChainError, ValueError):
+    """Construction-time problem with a kernel or a piecewise function, tagged
+    with a diagnostic code."""
+
+    def __init__(self, code: str, message: str):
+        self.code = code
+        super().__init__(message)
+
+
 class NoRepresentableInvariant(MeasureChainError):
     """The fixed-point search exhausted its budget without stabilizing."""
 

@@ -6,43 +6,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import NonConstantTail, PointEscapesSpace, RangeViolation
-from .measures import GeneratorKind, Measure
+from .errors import KernelValidationError, NonConstantTail, PointEscapesSpace, RangeViolation
+from .measures import Measure
 from .polynomials import Polynomial, polynomial_image
-from .sets import Component, Interval, Point, SetExpr
+from .sets import Component, Partition, SetExpr, format_component, line_key
 
-
-def _sort_key(comp: Component):
-    if isinstance(comp, Point):
-        return (comp.value, 1, comp.value)
-    lo = comp.lo if comp.lo is not None else Fraction(-(10**30))
-    hi = comp.hi if comp.hi is not None else Fraction(10**30)
-    return (lo, 0, hi)
+_NO_PIECE = {
+    "atom": "{} is not in the phase space",
+    "right_limit": "no piece contains a right neighborhood of {}",
+    "left_limit": "no piece contains a left neighborhood of {}",
+    "plus_infinity": "the phase space is bounded above",
+    "minus_infinity": "the phase space is bounded below",
+}
 
 
 @dataclass(frozen=True)
 class PiecewisePolyFunction:
     """A function given by one polynomial per piece; pieces partition the space.
 
-    Boundedness on an unbounded space is the caller's contract: integrate()
-    rejects non-constant tails when an infinity generator actually probes them.
+    The pieces are kept in line order.  Boundedness on an unbounded space is
+    the caller's contract: integrate() rejects non-constant tails when an
+    infinity generator actually probes them.
     """
 
     space: SetExpr
     pieces: tuple[tuple[Component, Polynomial], ...]
+    # raised when no piece holds a germ or a tail; a missing point always
+    # raises PointEscapesSpace
+    _no_germ_piece = PointEscapesSpace
 
     def __post_init__(self):
-        union = SetExpr.empty()
-        for comp, _ in self.pieces:
-            piece_set = SetExpr.from_components([comp])
-            if union.intersects(piece_set):
-                raise ValueError(f"function pieces overlap at {comp}")
-            union = union | piece_set
-        if union != self.space:
-            raise ValueError("function pieces must partition the space exactly")
-        object.__setattr__(
-            self, "pieces", tuple(sorted(self.pieces, key=lambda p: _sort_key(p[0])))
-        )
+        pieces = tuple(sorted(self.pieces, key=lambda p: line_key(p[0])))
+        object.__setattr__(self, "pieces", pieces)
+        partition = Partition(comp for comp, _ in pieces)
+        overlap = partition.first_overlap()
+        if overlap is not None:
+            raise KernelValidationError(
+                "PieceOverlap", f"pieces overlap at {format_component(overlap)}"
+            )
+        if SetExpr.from_components(partition.components) != self.space:
+            raise KernelValidationError("PieceGap", "pieces must partition the space exactly")
+        object.__setattr__(self, "_partition", partition)
 
     @staticmethod
     def build(space: SetExpr, pieces: Iterable[tuple[Component, Polynomial]]) -> "PiecewisePolyFunction":
@@ -55,45 +59,37 @@ class PiecewisePolyFunction:
 
     # -- pointwise and one-sided values --------------------------------------
 
-    def _piece_at_point(self, x: Fraction) -> tuple[Component, Polynomial]:
-        for comp, poly in self.pieces:
-            if SetExpr.from_components([comp]).contains_point(x):
-                return comp, poly
-        raise PointEscapesSpace(f"{x} is outside the function's space")
+    def piece(self, kind: str, x: Optional[Fraction] = None) -> tuple[Component, Polynomial]:
+        """The piece holding the generator `kind` (a GeneratorKind value) at x."""
+        i = self._partition.find(kind, x)
+        if i is None:
+            error = PointEscapesSpace if kind == "atom" else self._no_germ_piece
+            raise error(_NO_PIECE[kind].format(x))
+        return self.pieces[i]
+
+    def _value(self, kind: str, x: Optional[Fraction] = None) -> Fraction:
+        """Value, one-sided limit or (constant) tail value the generator reads."""
+        comp, poly = self.piece(kind, x)
+        if x is not None:
+            return poly(x)
+        if not poly.is_constant():
+            raise NonConstantTail(f"non-constant tail {poly} on {format_component(comp)}")
+        return poly(Fraction(0))
 
     def value_at(self, x: Fraction) -> Fraction:
-        _, poly = self._piece_at_point(x)
-        return poly(x)
+        return self._value("atom", x)
 
     def right_limit_at(self, x: Fraction) -> Fraction:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval):
-                if (comp.lo is None or comp.lo <= x) and (comp.hi is None or x < comp.hi):
-                    return poly(x)
-        raise PointEscapesSpace(f"the space has no right neighborhood of {x}")
+        return self._value("right_limit", x)
 
     def left_limit_at(self, x: Fraction) -> Fraction:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval):
-                if (comp.lo is None or comp.lo < x) and (comp.hi is None or x <= comp.hi):
-                    return poly(x)
-        raise PointEscapesSpace(f"the space has no left neighborhood of {x}")
+        return self._value("left_limit", x)
 
     def plus_tail_value(self) -> Fraction:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval) and comp.hi is None:
-                if not poly.is_constant():
-                    raise NonConstantTail(f"non-constant tail {poly} on {comp}")
-                return poly(Fraction(0))
-        raise PointEscapesSpace("the space is bounded above")
+        return self._value("plus_infinity")
 
     def minus_tail_value(self) -> Fraction:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval) and comp.lo is None:
-                if not poly.is_constant():
-                    raise NonConstantTail(f"non-constant tail {poly} on {comp}")
-                return poly(Fraction(0))
-        raise PointEscapesSpace("the space is bounded below")
+        return self._value("minus_infinity")
 
     # -- exact range ----------------------------------------------------------
 
@@ -111,7 +107,7 @@ class PiecewisePolyFunction:
             raise RangeViolation(f"function range {img} leaves [{lo}, {hi}]")
 
     def __str__(self) -> str:
-        return "; ".join(f"{comp}: {poly}" for comp, poly in self.pieces)
+        return "; ".join(f"{format_component(comp)}: {poly}" for comp, poly in self.pieces)
 
 
 def integrate(f: PiecewisePolyFunction, mu: Measure) -> Fraction:
@@ -122,16 +118,5 @@ def integrate(f: PiecewisePolyFunction, mu: Measure) -> Fraction:
     """
     total = Fraction(0)
     for gen, coeff in mu.terms:
-        kind = gen.kind
-        if kind is GeneratorKind.ATOM:
-            value = f.value_at(gen.location)
-        elif kind is GeneratorKind.RIGHT_LIMIT:
-            value = f.right_limit_at(gen.location)
-        elif kind is GeneratorKind.LEFT_LIMIT:
-            value = f.left_limit_at(gen.location)
-        elif kind is GeneratorKind.PLUS_INFINITY:
-            value = f.plus_tail_value()
-        else:
-            value = f.minus_tail_value()
-        total += coeff * value
+        total += coeff * f._value(gen.kind.value, gen.location)
     return total

@@ -3,12 +3,14 @@
 Two kernel variants share one interface:
 
 * ``DeterministicKernel``: a piecewise-polynomial self-map of the phase
-  space.  Pieces partition the space; each piece polynomial's exact image must
-  stay inside the space (so every point genuinely transitions).
+  space, so a ``PiecewisePolyFunction`` whose pieces partition the space; each
+  piece polynomial's exact image must stay inside the space (so every point
+  genuinely transitions).
 * ``StochasticKernel``: a finite chain, rational states with a row-stochastic
   rational matrix.
 
-``push_measure`` is the pushforward on measures, ``pull_function`` the
+``push_measure`` is the pushforward on measures (one body for both, summing
+the images ``push_generator`` gives), ``pull_function`` the
 composition action on observables; ``integrate(pull_function(f), mu) ==
 integrate(f, push_measure(mu))`` holds exactly.
 """
@@ -23,10 +25,11 @@ from .errors import (
     AmbiguousPiece,
     GermOutsideSpace,
     IrrationalBreakpointPreimage,
+    KernelValidationError,
     NonAtomicGenerator,
     PointEscapesSpace,
 )
-from .functions import PiecewisePolyFunction, _sort_key
+from .functions import PiecewisePolyFunction
 from .measures import Generator, GeneratorKind, Measure
 from .polynomials import (
     Polynomial,
@@ -34,88 +37,42 @@ from .polynomials import (
     irrational_root_count_open,
     polynomial_image,
     rational_roots,
-    rational_roots_in,
 )
-from .sets import Component, Interval, Point, SetExpr
+from .sets import Component, Interval, Point, SetExpr, _component_cuts, format_component
 
 
-class KernelValidationError(ValueError):
-    """Construction-time kernel problem, tagged with a diagnostic code."""
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(message)
+def _push_measure(kernel: Kernel, mu: Measure) -> Measure:
+    """Pushforward of a measure: one pass over its generators' images."""
+    return Measure.from_terms(
+        (g, coeff * c) for gen, coeff in mu.terms for g, c in kernel.push_generator(gen).terms
+    )
 
 
 @dataclass(frozen=True)
-class DeterministicKernel:
-    space: SetExpr
-    pieces: tuple[tuple[Component, Polynomial], ...]
+class DeterministicKernel(PiecewisePolyFunction):
+    """A piecewise-polynomial self-map: a piecewise-polynomial function on its
+    space whose pieces each map into the space."""
+
+    _no_germ_piece = AmbiguousPiece
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pieces", tuple(sorted(self.pieces, key=lambda p: _sort_key(p[0])))
-        )
-        union = SetExpr.empty()
-        for comp, _ in self.pieces:
-            piece_set = SetExpr.from_components([comp])
-            if union.intersects(piece_set):
-                raise KernelValidationError("PieceOverlap", f"kernel pieces overlap at {comp}")
-            union = union | piece_set
-        if union != self.space:
-            raise KernelValidationError(
-                "PieceGap", "kernel pieces must partition the phase space exactly"
-            )
+        super().__post_init__()
         for comp, poly in self.pieces:
             image = SetExpr.from_components(polynomial_image(poly, comp))
             if not image.is_subset(self.space):
                 raise KernelValidationError(
                     "ImageOutsideSpace",
-                    f"piece {comp} maps onto {image}, which leaves the space",
+                    f"piece {format_component(comp)} maps onto {image}, which leaves the space",
                 )
 
     @property
     def is_deterministic(self) -> bool:
         return True
 
-    # -- piece lookup ---------------------------------------------------------
-
-    def piece_at_point(self, x: Fraction) -> tuple[Component, Polynomial]:
-        for comp, poly in self.pieces:
-            if SetExpr.from_components([comp]).contains_point(x):
-                return comp, poly
-        raise PointEscapesSpace(f"{x} is not in the phase space")
-
-    def piece_right_of(self, x: Fraction) -> tuple[Component, Polynomial]:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval):
-                if (comp.lo is None or comp.lo <= x) and (comp.hi is None or x < comp.hi):
-                    return comp, poly
-        raise AmbiguousPiece(f"no piece contains a right neighborhood of {x}")
-
-    def piece_left_of(self, x: Fraction) -> tuple[Component, Polynomial]:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval):
-                if (comp.lo is None or comp.lo < x) and (comp.hi is None or x <= comp.hi):
-                    return comp, poly
-        raise AmbiguousPiece(f"no piece contains a left neighborhood of {x}")
-
-    def _piece_plus_tail(self) -> tuple[Component, Polynomial]:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval) and comp.hi is None:
-                return comp, poly
-        raise AmbiguousPiece("the phase space is bounded above")
-
-    def _piece_minus_tail(self) -> tuple[Component, Polynomial]:
-        for comp, poly in self.pieces:
-            if isinstance(comp, Interval) and comp.lo is None:
-                return comp, poly
-        raise AmbiguousPiece("the phase space is bounded below")
-
     # -- transitions ------------------------------------------------------------
 
     def map_point(self, x: Fraction) -> Fraction:
-        _, poly = self.piece_at_point(x)
+        _, poly = self.piece("atom", x)
         y = poly(x)
         if not self.space.contains_point(y):
             raise PointEscapesSpace(f"{x} maps to {y}, which is outside the space")
@@ -136,7 +93,7 @@ class DeterministicKernel:
     def _push_finite_germ(self, gen: Generator) -> Measure:
         x = gen.location
         from_right = gen.kind is GeneratorKind.RIGHT_LIMIT
-        _, poly = self.piece_right_of(x) if from_right else self.piece_left_of(x)
+        _, poly = self.piece(gen.kind.value, x)
         limit = poly(x)
         if poly.is_constant():
             return Measure.dirac(limit)
@@ -150,7 +107,7 @@ class DeterministicKernel:
 
     def _push_infinity(self, gen: Generator) -> Measure:
         at_plus = gen.kind is GeneratorKind.PLUS_INFINITY
-        _, poly = self._piece_plus_tail() if at_plus else self._piece_minus_tail()
+        _, poly = self.piece(gen.kind.value)
         if poly.is_constant():
             return Measure.dirac(poly(Fraction(0)))
         lead_sign = 1 if poly.leading() > 0 else -1
@@ -172,11 +129,7 @@ class DeterministicKernel:
             return self._push_finite_germ(gen)
         return self._push_infinity(gen)
 
-    def push_measure(self, mu: Measure) -> Measure:
-        total = Measure.zero()
-        for gen, coeff in mu.terms:
-            total = total + coeff * self.push_generator(gen)
-        return total
+    push_measure = _push_measure
 
     # -- action on observables -----------------------------------------------------
 
@@ -185,7 +138,7 @@ class DeterministicKernel:
             yield comp, Polynomial.constant(f.value_at(poly(comp.value)))
             return
         breakpoints = sorted(
-            {v for fcomp, _ in f.pieces for v in _component_cut_values(fcomp)}
+            {v for fcomp, _ in f.pieces for v in _component_cuts(fcomp)}
         )
         cuts: set[Fraction] = set()
         for b in breakpoints:
@@ -194,7 +147,7 @@ class DeterministicKernel:
                 continue  # poly identically b: no crossing to cut at
             if irrational_root_count_open(shifted, comp.lo, comp.hi) > 0:
                 raise IrrationalBreakpointPreimage(
-                    f"breakpoint {b} has an irrational preimage inside {comp}"
+                    f"breakpoint {b} has an irrational preimage inside {format_component(comp)}"
                 )
             for r in rational_roots(shifted):
                 if (comp.lo is None or r > comp.lo) and (comp.hi is None or r < comp.hi):
@@ -209,8 +162,7 @@ class DeterministicKernel:
             yield Point(c), Polynomial.constant(f.value_at(poly(c)))
         for u, v in zip(markers, markers[1:]):
             probe = _interior_probe(u, v)
-            target = poly(probe)
-            fpoly = _function_piece_at(f, target)
+            _, fpoly = f.piece("atom", poly(probe))
             yield Interval(u, v), fpoly.compose(poly)
 
     def pull_function(self, f: PiecewisePolyFunction) -> PiecewisePolyFunction:
@@ -218,16 +170,6 @@ class DeterministicKernel:
         for comp, poly in self.pieces:
             pieces.extend(self._compose_on_piece(comp, poly, f))
         return PiecewisePolyFunction(self.space, tuple(pieces))
-
-
-def _component_cut_values(comp: Component):
-    if isinstance(comp, Point):
-        yield comp.value
-    else:
-        if comp.lo is not None:
-            yield comp.lo
-        if comp.hi is not None:
-            yield comp.hi
 
 
 def _interior_probe(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
@@ -238,11 +180,6 @@ def _interior_probe(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
     if hi is None:
         return lo + 1
     return (lo + hi) / 2
-
-
-def _function_piece_at(f: PiecewisePolyFunction, x: Fraction) -> Polynomial:
-    _, poly = f._piece_at_point(x)
-    return poly
 
 
 @dataclass(frozen=True)
@@ -306,11 +243,7 @@ class StochasticKernel:
             if p != 0
         )
 
-    def push_measure(self, mu: Measure) -> Measure:
-        total = Measure.zero()
-        for gen, coeff in mu.terms:
-            total = total + coeff * self.push_generator(gen)
-        return total
+    push_measure = _push_measure
 
     def pull_function(self, f: PiecewisePolyFunction) -> PiecewisePolyFunction:
         values = {s: f.value_at(s) for s in self.states}

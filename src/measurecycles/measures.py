@@ -77,18 +77,7 @@ class Generator:
 
     def indicator(self, E: SetExpr) -> Fraction:
         """Unit-generator value on the set: always exactly 0 or 1."""
-        kind = self.kind
-        if kind is GeneratorKind.ATOM:
-            hit = E.contains_point(self.location)
-        elif kind is GeneratorKind.RIGHT_LIMIT:
-            hit = E.contains_right_neighborhood(self.location)
-        elif kind is GeneratorKind.LEFT_LIMIT:
-            hit = E.contains_left_neighborhood(self.location)
-        elif kind is GeneratorKind.PLUS_INFINITY:
-            hit = E.contains_plus_tail()
-        else:
-            hit = E.contains_minus_tail()
-        return Fraction(1) if hit else Fraction(0)
+        return Fraction(1) if E.contains(self.kind.value, self.location) else Fraction(0)
 
     def __str__(self) -> str:
         if self.kind.has_location:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import IrrationalCriticalPoint
 from .rationals import format_rational, parse_rational
-from .sets import Component, Interval, Point
+from .sets import Component, Interval, Point, _component_holds, format_component
 
 
 @dataclass(frozen=True)
@@ -248,16 +248,7 @@ def irrational_root_count_open(p: Polynomial, lo: Optional[Fraction], hi: Option
 
 def rational_roots_in(p: Polynomial, comp: Component) -> list[Fraction]:
     """Rational roots of p lying in the component (endpoint flags respected)."""
-    from .sets import _component_contains_point  # local: avoid a public helper
-
-    return [r for r in rational_roots(p) if _component_contains_point(comp, r)]
-
-
-def _limit_toward(p: Polynomial, x: Optional[Fraction], plus_infinity: bool) -> Optional[Fraction]:
-    """Value at a finite endpoint, or None for the appropriate infinity."""
-    if x is not None:
-        return p(x)
-    return None
+    return [r for r in rational_roots(p) if _component_holds(comp, "atom", r)]
 
 
 def polynomial_image(p: Polynomial, comp: Component) -> list[Component]:
@@ -276,7 +267,7 @@ def polynomial_image(p: Polynomial, comp: Component) -> list[Component]:
     dp = p.derivative()
     if irrational_root_count_open(dp, comp.lo, comp.hi) > 0:
         raise IrrationalCriticalPoint(
-            f"polynomial {p} has an irrational critical point inside {comp}"
+            f"polynomial {p} has an irrational critical point inside {format_component(comp)}"
         )
     cuts = [
         r

@@ -4,12 +4,21 @@
 canonical form (pairwise disjoint, non-adjacent components sorted left to
 right) so equality, hashing and serialization are structural.  Endpoints are
 rational; ``None`` stands for an infinite endpoint (always open).
+
+One lookup answers "which component holds this generator" (an atom, a germ
+on either side of a point, or a tail) for sets, piecewise functions and
+kernels alike: `Partition.find` bisects the components by where they start,
+then tests the one candidate with the single per-component predicate.  It
+relies on the components being sorted in line order and pairwise disjoint;
+canonical sets are, and piecewise functions check it when they are built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from .rationals import format_rational, parse_rational
@@ -39,25 +48,86 @@ class Interval:
 Component = Union[Point, Interval]
 
 
-def _component_contains_point(comp: Component, x: Fraction) -> bool:
+def format_component(comp: Component) -> str:
+    """Set text form of one component: ``{p}``, ``[lo,hi)``, ``(-inf,hi]``, ..."""
     if isinstance(comp, Point):
-        return comp.value == x
-    if comp.lo is not None and (x < comp.lo or (x == comp.lo and not comp.lo_closed)):
-        return False
-    if comp.hi is not None and (x > comp.hi or (x == comp.hi and not comp.hi_closed)):
-        return False
-    return True
+        return "{%s}" % format_rational(comp.value)
+    lo = "-inf" if comp.lo is None else format_rational(comp.lo)
+    hi = "+inf" if comp.hi is None else format_rational(comp.hi)
+    return ("[" if comp.lo_closed else "(") + lo + "," + hi + ("]" if comp.hi_closed else ")")
 
 
-def _component_contains_open(comp: Component, lo: Optional[Fraction], hi: Optional[Fraction]) -> bool:
-    """Whole open interval (lo, hi) inside comp; None means the infinite end."""
+def _component_holds(comp: Component, kind: str, x: Optional[Fraction] = None) -> bool:
+    """Does the component hold the generator `kind` (a GeneratorKind value) at x?"""
     if isinstance(comp, Point):
-        return False
-    if comp.lo is not None and (lo is None or lo < comp.lo):
-        return False
-    if comp.hi is not None and (hi is None or hi > comp.hi):
-        return False
-    return True
+        return kind == "atom" and comp.value == x
+    lo, hi = comp.lo, comp.hi
+    if kind == "atom":
+        return (lo is None or lo < x or (lo == x and comp.lo_closed)) and (
+            hi is None or x < hi or (x == hi and comp.hi_closed)
+        )
+    if kind == "right_limit":
+        return (lo is None or lo <= x) and (hi is None or x < hi)
+    if kind == "left_limit":
+        return (lo is None or lo < x) and (hi is None or x <= hi)
+    if kind == "plus_infinity":
+        return hi is None
+    return lo is None
+
+
+_SIDE = {"left_limit": -1, "atom": 0, "right_limit": 1}
+
+
+def _position(kind: str, x: Optional[Fraction] = None) -> tuple:
+    """Line-order key of a generator: the minus tail, then at each x its left
+    germ, atom and right germ, then the plus tail."""
+    if kind == "minus_infinity":
+        return (0,)
+    if kind == "plus_infinity":
+        return (2,)
+    return (1, x, _SIDE[kind])
+
+
+def _start(comp: Component) -> tuple[str, Optional[Fraction]]:
+    """The generator a component starts with: its first point, the right germ
+    at an open lower end, or the minus tail."""
+    if isinstance(comp, Point):
+        return "atom", comp.value
+    if comp.lo is None:
+        return "minus_infinity", None
+    return ("atom" if comp.lo_closed else "right_limit"), comp.lo
+
+
+def line_key(comp: Component) -> tuple:
+    """Sort key that puts pairwise disjoint components in line order."""
+    return _position(*_start(comp))
+
+
+class Partition:
+    """Components in line order (sorted by `line_key`), searched by bisection.
+
+    Lookups assume the components are pairwise disjoint; `first_overlap`
+    checks that.  Then only the last component starting at or before a
+    generator can hold it, since every earlier one ends before that one starts.
+    """
+
+    def __init__(self, components: Iterable[Component]):
+        self.components = tuple(components)
+        self._keys = [line_key(c) for c in self.components]
+
+    def find(self, kind: str, x: Optional[Fraction] = None) -> Optional[int]:
+        """Index of the component holding the generator `kind` at x, or None."""
+        i = bisect_right(self._keys, _position(kind, x)) - 1
+        if i >= 0 and _component_holds(self.components[i], kind, x):
+            return i
+        return None
+
+    def first_overlap(self) -> Optional[Component]:
+        """The first component that meets its predecessor, or None."""
+        for a, b in zip(self.components, self.components[1:]):
+            if _component_holds(a, *_start(b)):
+                return b
+        return None
 
 
 def _component_cuts(comp: Component) -> Iterator[Fraction]:
@@ -70,30 +140,21 @@ def _component_cuts(comp: Component) -> Iterator[Fraction]:
             yield comp.hi
 
 
-def _elementary_pieces(cuts: list[Fraction]):
-    """Decompose the line at the cut values.
+def _elementary_pieces(comps: Iterable[Component]) -> list[tuple[str, Optional[Fraction]]]:
+    """Cut the line at every endpoint and point of the components.
 
-    Yields (kind, payload): kind "gap" with (lo, hi) open (None = infinite) or
-    kind "point" with the cut value, in left-to-right order.
+    Each piece is given, in line order, by a generator only it holds: the atom
+    for a cut, the right germ at the previous cut (or the minus tail) for a gap.
     """
-    prev: Optional[Fraction] = None
-    for c in cuts:
-        yield "gap", (prev, c)
-        yield "point", c
-        prev = c
-    yield "gap", (prev, None)
+    pieces: list[tuple[str, Optional[Fraction]]] = [("minus_infinity", None)]
+    for c in sorted({c for comp in comps for c in _component_cuts(comp)}):
+        pieces.append(("atom", c))
+        pieces.append(("right_limit", c))
+    return pieces
 
 
-def _piece_in_components(kind, payload, comps: tuple[Component, ...]) -> bool:
-    if kind == "point":
-        return any(_component_contains_point(c, payload) for c in comps)
-    lo, hi = payload
-    return any(_component_contains_open(c, lo, hi) for c in comps)
-
-
-def _assemble(cuts: list[Fraction], flags: list[bool]) -> tuple[Component, ...]:
+def _assemble(pieces: list[tuple[str, Optional[Fraction]]], flags: list[bool]) -> tuple[Component, ...]:
     """Rebuild canonical components from elementary-piece membership flags."""
-    pieces = list(_elementary_pieces(cuts))
     comps: list[Component] = []
     i = 0
     n = len(pieces)
@@ -104,20 +165,15 @@ def _assemble(cuts: list[Fraction], flags: list[bool]) -> tuple[Component, ...]:
         j = i
         while j + 1 < n and flags[j + 1]:
             j += 1
-        start_kind, start_payload = pieces[i]
-        end_kind, end_payload = pieces[j]
-        if i == j and start_kind == "point":
-            comps.append(Point(start_payload))
+        start_kind, lo = pieces[i]
+        end_kind, end = pieces[j]
+        if i == j and start_kind == "atom":
+            comps.append(Point(lo))
+        elif end_kind == "atom":
+            comps.append(Interval(lo, end, start_kind == "atom", True))
         else:
-            if start_kind == "point":
-                lo, lo_closed = start_payload, True
-            else:
-                lo, lo_closed = start_payload[0], False
-            if end_kind == "point":
-                hi, hi_closed = end_payload, True
-            else:
-                hi, hi_closed = end_payload[1], False
-            comps.append(Interval(lo, hi, lo_closed, hi_closed))
+            hi = pieces[j + 1][1] if j + 1 < n else None
+            comps.append(Interval(lo, hi, start_kind == "atom", False))
         i = j + 1
     return tuple(comps)
 
@@ -150,25 +206,17 @@ class SetExpr:
     def from_components(components: Iterable[Component]) -> "SetExpr":
         """Union of arbitrary (possibly overlapping) components, canonicalized."""
         comps = tuple(components)
-        cuts = sorted({c for comp in comps for c in _component_cuts(comp)})
-        flags = [_piece_in_components(k, p, comps) for k, p in _elementary_pieces(cuts)]
-        return SetExpr(_assemble(cuts, flags))
+        pieces = _elementary_pieces(comps)
+        flags = [any(_component_holds(c, k, x) for c in comps) for k, x in pieces]
+        return SetExpr(_assemble(pieces, flags))
 
     # -- boolean algebra ---------------------------------------------------
 
     def _combine(self, other: "SetExpr", op) -> "SetExpr":
-        cuts = sorted(
-            {c for comp in self.components for c in _component_cuts(comp)}
-            | {c for comp in other.components for c in _component_cuts(comp)}
-        )
-        flags = [
-            op(
-                _piece_in_components(k, p, self.components),
-                _piece_in_components(k, p, other.components),
-            )
-            for k, p in _elementary_pieces(cuts)
-        ]
-        return SetExpr(_assemble(cuts, flags))
+        pieces = _elementary_pieces(self.components + other.components)
+        a, b = self._partition, other._partition
+        flags = [op(a.find(k, x) is not None, b.find(k, x) is not None) for k, x in pieces]
+        return SetExpr(_assemble(pieces, flags))
 
     def __or__(self, other: "SetExpr") -> "SetExpr":
         return self._combine(other, lambda a, b: a or b)
@@ -189,30 +237,30 @@ class SetExpr:
     def is_empty(self) -> bool:
         return not self.components
 
+    @cached_property
+    def _partition(self) -> Partition:
+        return Partition(self.components)
+
+    def contains(self, kind: str, x: Optional[Fraction] = None) -> bool:
+        """Does the set hold the generator `kind` (a GeneratorKind value) at x?"""
+        return self._partition.find(kind, x) is not None
+
     def contains_point(self, x: Fraction) -> bool:
-        return any(_component_contains_point(c, x) for c in self.components)
+        return self.contains("atom", x)
 
     def contains_right_neighborhood(self, x: Fraction) -> bool:
         """Some (x, x+eps) lies inside the set."""
-        for c in self.components:
-            if isinstance(c, Interval):
-                if (c.lo is None or c.lo <= x) and (c.hi is None or x < c.hi):
-                    return True
-        return False
+        return self.contains("right_limit", x)
 
     def contains_left_neighborhood(self, x: Fraction) -> bool:
         """Some (x-eps, x) lies inside the set."""
-        for c in self.components:
-            if isinstance(c, Interval):
-                if (c.lo is None or c.lo < x) and (c.hi is None or x <= c.hi):
-                    return True
-        return False
+        return self.contains("left_limit", x)
 
     def contains_plus_tail(self) -> bool:
-        return any(isinstance(c, Interval) and c.hi is None for c in self.components)
+        return self.contains("plus_infinity")
 
     def contains_minus_tail(self) -> bool:
-        return any(isinstance(c, Interval) and c.lo is None for c in self.components)
+        return self.contains("minus_infinity")
 
     def is_subset(self, other: "SetExpr") -> bool:
         return (self - other).is_empty()
@@ -277,14 +325,4 @@ class SetExpr:
     def __str__(self) -> str:
         if not self.components:
             return "{}"
-        parts = []
-        for c in self.components:
-            if isinstance(c, Point):
-                parts.append("{%s}" % format_rational(c.value))
-            else:
-                lo = "-inf" if c.lo is None else format_rational(c.lo)
-                hi = "+inf" if c.hi is None else format_rational(c.hi)
-                parts.append(
-                    ("[" if c.lo_closed else "(") + lo + "," + hi + ("]" if c.hi_closed else ")")
-                )
-        return " u ".join(parts)
+        return " u ".join(format_component(c) for c in self.components)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cycles import Cycle
+from .cycles import Cycle, row_reduce
 from .errors import (
     InvariantViolation,
     IrrationalRootBoundary,
@@ -34,7 +34,7 @@ from .polynomials import (
     polynomial_image,
     rational_roots_in,
 )
-from .sets import Point, SetExpr
+from .sets import Point, SetExpr, format_component
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _deterministic_set_image(kernel: DeterministicKernel, D: SetExpr) -> SetExpr
     """Exact image of D under the piecewise map (monotone subdivision)."""
     comps = []
     for comp, poly in kernel.pieces:
-        overlap = SetExpr.from_components([comp]) & D
+        overlap = SetExpr((comp,)) & D
         for sub in overlap.components:
             comps.extend(polynomial_image(poly, sub))
     return SetExpr.from_components(comps)
@@ -182,29 +182,10 @@ def _solve_invariant(states: Sequence[Fraction], rows: list[list[Fraction]]) -> 
         row.append(Fraction(0))
         aug.append(row)
     aug[-1] = [Fraction(1)] * n + [Fraction(1)]
-    # Gaussian elimination
-    r = 0
-    for c in range(n):
-        pivot = next((k for k in range(r, n) if aug[k][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][c]
-        aug[r] = [v / lead for v in aug[r]]
-        for k in range(n):
-            if k != r and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [v - f * w for v, w in zip(aug[k], aug[r])]
-        r += 1
-        if r == n:
-            break
-    if r < n:
+    pivots = row_reduce(aug, n)
+    if len(pivots) < n:
         raise InvariantViolation("invariant distribution is not unique on this class")
-    solution = [Fraction(0)] * n
-    for k in range(n):
-        lead_col = next(c for c in range(n) if aug[k][c] != 0)
-        solution[lead_col] = aug[k][n]
-    return solution
+    return [row[n] for row in aug]
 
 
 def _restricted_rows(kernel: StochasticKernel, members: list[int]) -> list[list[Fraction]]:
@@ -465,7 +446,7 @@ def unit_integral_check(f: PiecewisePolyFunction, mu: Measure) -> UnitIntegralRe
             continue
         if irrational_root_count_open(shifted, comp.lo, comp.hi) > 0:
             raise IrrationalRootBoundary(
-                f"{{f = 1}} has an irrational boundary point inside {comp}"
+                f"{{f = 1}} has an irrational boundary point inside {format_component(comp)}"
             )
         for r in rational_roots_in(shifted, comp):
             ones.append(Point(r))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import measurecycles
 from measurecycles.cli import main
 
 SWAP_VALIDATE = """\
@@ -88,6 +93,40 @@ def test_validate_invalid_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: INVALID" in err
     assert "RowNotStochastic at $.matrix" in err
+
+
+def test_validate_irrational_critical_point_has_no_traceback(tmp_path):
+    # x^3/8 - x/4 has its critical points at +-sqrt(2/3), inside [-2, 2]
+    path = tmp_path / "cubic.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "cubic",
+                "kind": "deterministic",
+                "space": [{"lo": "-2", "hi": "2", "lo_closed": True, "hi_closed": True}],
+                "pieces": [
+                    {
+                        "piece": {"lo": "-2", "hi": "2", "lo_closed": True, "hi_closed": True},
+                        "poly_coeffs": ["0", "-1/4", "0", "1/8"],
+                    }
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    src = str(Path(measurecycles.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from measurecycles.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 1
+    assert "IrrationalCriticalPoint at $.pieces" in run.stderr
+    assert "[-2,2]" in run.stderr
+    assert "Traceback" not in run.stderr + run.stdout
 
 
 def test_unknown_chain_token(capsys):

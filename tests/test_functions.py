@@ -4,6 +4,7 @@ import pytest
 
 from measurecycles import (
     Interval,
+    KernelValidationError,
     Measure,
     PiecewisePolyFunction,
     Point,
@@ -29,11 +30,12 @@ def two_piece():
 
 def test_build_rejects_gap_and_overlap():
     space = SetExpr.interval(0, 2, True, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(KernelValidationError) as e:
         PiecewisePolyFunction.build(
             space, [(Interval(F(0), F(1), True, False), Polynomial.constant(0))]
         )
-    with pytest.raises(ValueError):
+    assert e.value.code == "PieceGap"
+    with pytest.raises(KernelValidationError) as e:
         PiecewisePolyFunction.build(
             space,
             [
@@ -41,6 +43,8 @@ def test_build_rejects_gap_and_overlap():
                 (Interval(F(1), F(2), True, False), Polynomial.constant(1)),
             ],
         )
+    assert e.value.code == "PieceOverlap"
+    assert str(e.value) == "pieces overlap at [1,2)"
 
 
 def test_values_and_one_sided_limits():

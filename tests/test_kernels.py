@@ -103,6 +103,30 @@ def test_stochastic_validation_codes():
     assert _code(e) == "NoStates"
 
 
+def test_kernel_validation_error_bases():
+    from measurecycles import kernels
+
+    assert kernels.KernelValidationError is KernelValidationError
+    assert issubclass(KernelValidationError, MeasureChainError)
+    assert issubclass(KernelValidationError, ValueError)
+
+
+def test_pieces_beyond_1e30_in_line_order():
+    big = F(10**31)
+    left, right = Interval(None, -big), Interval(-big, None, True, False)
+    k = DeterministicKernel(
+        SetExpr.line(), ((right, Polynomial.of(0, 1)), (left, Polynomial.of(1, 1)))
+    )
+    assert [comp for comp, _ in k.pieces] == [left, right]
+    f = PiecewisePolyFunction.build(SetExpr.line(), k.pieces)
+    assert str(f) == f"(-inf,-{big}): 1 + 1*x; [-{big},+inf): 1*x"
+    assert k.map_point(-big - 1) == -big
+    assert k.map_point(-big) == -big
+    assert k.push_measure(Measure.at_minus_infinity()) == Measure.at_minus_infinity()
+    assert k.push_measure(Measure.left_germ(-big)) == Measure.left_germ(-big + 1)
+    assert k.push_measure(Measure.right_germ(-big)) == Measure.right_germ(-big)
+
+
 # -- point dynamics -------------------------------------------------------------
 
 

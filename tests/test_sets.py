@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from measurecycles import Interval, Point, SetExpr
+from measurecycles.sets import Partition, format_component
 
 F = Fraction
 
@@ -147,3 +148,91 @@ def test_one_sided_neighborhoods_respect_union(a, b):
             assert s.contains_right_neighborhood(x)
         if a.contains_left_neighborhood(x) or b.contains_left_neighborhood(x):
             assert s.contains_left_neighborhood(x)
+
+
+# -- the partition lookup against a linear scan ----------------------------------
+
+KINDS = ("atom", "right_limit", "left_limit", "plus_infinity", "minus_infinity")
+# Every endpoint and probe is a multiple of 1/12 in [-8, 8], so x +- EPS lies
+# in the same elementary piece as the germ at x, and +-FAR beyond every end.
+EPS = F(1, 1000)
+FAR = F(10**6)
+
+
+def brute_contains_point(comp, t):
+    if isinstance(comp, Point):
+        return comp.value == t
+    above = comp.lo is None or comp.lo < t or (comp.lo == t and comp.lo_closed)
+    below = comp.hi is None or t < comp.hi or (t == comp.hi and comp.hi_closed)
+    return above and below
+
+
+def brute_probe(kind, x):
+    """A point that lies in a component exactly when the generator does."""
+    if kind == "plus_infinity":
+        return FAR
+    if kind == "minus_infinity":
+        return -FAR
+    return x + {"atom": 0, "right_limit": EPS, "left_limit": -EPS}[kind]
+
+
+@st.composite
+def disjoint_components(draw):
+    """Pairwise disjoint components in line order; neighbours may touch, as
+    [0,1) with {1} and (1,2) do, and the ends may be unbounded."""
+    cuts = sorted(draw(st.sets(fracs, max_size=5)))
+    bounds = [None] + cuts + [None]
+    comps = []
+    held = False  # the interval before holds the cut `lo`
+    for lo, hi in zip(bounds, bounds[1:]):
+        take = draw(st.booleans())
+        lo_closed = lo is not None and not held and take and draw(st.booleans())
+        if lo is not None and not held and not lo_closed and draw(st.booleans()):
+            comps.append(Point(lo))
+        held = take and hi is not None and draw(st.booleans())
+        if take:
+            comps.append(Interval(lo, hi, lo_closed, held))
+    return comps
+
+
+TOUCHING = [Interval(F(0), F(1), True, False), Point(F(1)), Interval(F(1), F(2))]
+
+
+@given(disjoint_components(), probe_points)
+@example([], [F(0)])
+@example(TOUCHING, [F(1, 2)])
+@example([Interval(None, F(0)), Point(F(0)), Interval(F(0), None)], [F(0)])
+@example([Interval(None, F(-1), False, True), Interval(F(2), None, True, False)], [F(1)])
+def test_partition_find_matches_linear_scan(comps, xs):
+    part = Partition(comps)
+    assert part.first_overlap() is None
+    ends = [v for c in comps for v in SetExpr((c,)).finite_boundary_values()]
+    queries = [(k, x) for x in xs + ends for k in KINDS[:3]] + [(k, None) for k in KINDS[3:]]
+    for kind, x in queries:
+        hits = [i for i, c in enumerate(comps) if brute_contains_point(c, brute_probe(kind, x))]
+        assert len(hits) <= 1
+        assert part.find(kind, x) == (hits[0] if hits else None), (kind, x)
+
+
+def test_partition_touching_pieces():
+    part = Partition(TOUCHING)
+    assert part.find("left_limit", F(1)) == 0
+    assert part.find("atom", F(1)) == 1
+    assert part.find("right_limit", F(1)) == 2
+    assert part.find("atom", F(2)) is None
+    assert part.find("left_limit", F(0)) is None
+    assert part.find("plus_infinity") is None
+
+
+def test_partition_first_overlap():
+    closed, point = Interval(F(0), F(1), True, True), Point(F(1))
+    assert Partition([closed, point]).first_overlap() == point
+    assert Partition([Interval(F(0), F(1)), point]).first_overlap() is None
+    tails = [Interval(None, F(0)), Interval(None, F(1))]
+    assert Partition(tails).first_overlap() == tails[1]
+
+
+def test_format_component():
+    assert format_component(Interval(F(0), F(3, 2), True, False)) == "[0,3/2)"
+    assert format_component(Interval(None, F(1), False, True)) == "(-inf,1]"
+    assert format_component(Point(F(-1, 2))) == "{-1/2}"
