@@ -119,7 +119,11 @@ def cmd_trajectory(args, out, err) -> int:
     rows = ["step,exact,approx"]
     try:
         for step in range(args.steps + 1):
-            rows.append(f"{step},{format_rational(x)},{decimal_string(x)}")
+            try:
+                rows.append(f"{step},{format_rational(x)},{decimal_string(x)}")
+            except ValueError as e:  # past Python's int->str digit limit
+                print(f"error: step {step}: {e}", file=err)
+                return EXIT_VALIDATION
             if step < args.steps:
                 x = k.map_point(x)
     except PointEscapesSpace as e:
@@ -230,7 +234,25 @@ def _function_battery(spec: ChainSpec) -> list[PiecewisePolyFunction]:
     return fs
 
 
-def _check_declared_cycles(spec: ChainSpec, max_period: int):
+def _once(compute: Callable):
+    """A thunk that runs compute() on its first call only; every call returns
+    its value, or raises its MeasureChainError, again."""
+    memo: list = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append(compute())
+            except MeasureChainError as e:
+                memo.append(e)
+        if isinstance(memo[0], MeasureChainError):
+            raise memo[0]
+        return memo[0]
+
+    return get
+
+
+def _check_declared_cycles(spec: ChainSpec, cycles, battery):
     k = spec.kernel
     for i, coords in enumerate(spec.declared_cycles, 1):
         if not verify_cycle(k, coords):
@@ -241,7 +263,7 @@ def _check_declared_cycles(spec: ChainSpec, max_period: int):
     return True, ""
 
 
-def _check_duality(spec: ChainSpec, max_period: int):
+def _check_duality(spec: ChainSpec, cycles, battery):
     k = spec.kernel
     tested = 0
     for f in _function_battery(spec):
@@ -249,7 +271,7 @@ def _check_duality(spec: ChainSpec, max_period: int):
             tf = k.pull_function(f)
         except MeasureChainError:
             continue
-        for mu in _measure_battery(spec):
+        for mu in battery():
             try:
                 lhs = integrate(tf, mu)
                 rhs = integrate(f, k.push_measure(mu))
@@ -263,9 +285,9 @@ def _check_duality(spec: ChainSpec, max_period: int):
     return True, ""
 
 
-def _check_isometry(spec: ChainSpec, max_period: int):
+def _check_isometry(spec: ChainSpec, cycles, battery):
     k = spec.kernel
-    for mu in _measure_battery(spec):
+    for mu in battery():
         if not mu.is_nonnegative():
             continue
         pushed = k.push_measure(mu)
@@ -274,23 +296,23 @@ def _check_isometry(spec: ChainSpec, max_period: int):
     return True, ""
 
 
-def _check_cycle_classification(spec: ChainSpec, max_period: int):
-    for c in enumerate_cycles(spec.kernel, max_period):
+def _check_cycle_classification(spec: ChainSpec, cycles, battery):
+    for c in cycles():
         c.classify()  # raises InvariantViolation on a mixed-type cycle
     return True, ""
 
 
-def _check_mean_invariance(spec: ChainSpec, max_period: int):
+def _check_mean_invariance(spec: ChainSpec, cycles, battery):
     k = spec.kernel
-    for c in enumerate_cycles(k, max_period):
+    for c in cycles():
         mean = c.mean_measure()
         if k.push_measure(mean) != mean:
             return False, f"mean not fixed for period-{c.period} cycle"
     return True, ""
 
 
-def _check_decomposition_roundtrip(spec: ChainSpec, max_period: int):
-    for c in enumerate_cycles(spec.kernel, max_period):
+def _check_decomposition_roundtrip(spec: ChainSpec, cycles, battery):
+    for c in cycles():
         d = decompose_cycle(c)
         for i, m in enumerate(c.coords):
             if d.ca_parts[i] + d.pfa_parts[i] != m:
@@ -302,15 +324,15 @@ def _check_decomposition_roundtrip(spec: ChainSpec, max_period: int):
     return True, ""
 
 
-def _check_independence(spec: ChainSpec, max_period: int):
-    for c in enumerate_cycles(spec.kernel, max_period):
+def _check_independence(spec: ChainSpec, cycles, battery):
+    for c in cycles():
         rank = measure_rank(c.coords)
         if rank != c.period:
             return False, f"rank {rank} below period {c.period}"
     return True, ""
 
 
-def _check_state_measure_correspondence(spec: ChainSpec, max_period: int):
+def _check_state_measure_correspondence(spec: ChainSpec, cycles, battery):
     k = spec.kernel
     for i, sc in enumerate(spec.declared_state_cycles, 1):
         if not sc.singular:
@@ -325,20 +347,20 @@ def _check_state_measure_correspondence(spec: ChainSpec, max_period: int):
     return True, ""
 
 
-def _check_unique_cycle_countably_additive(spec: ChainSpec, max_period: int):
+def _check_unique_cycle_countably_additive(spec: ChainSpec, cycles, battery):
     k = spec.kernel
     if not isinstance(k, StochasticKernel):
         return True, ""
-    cycles = enumerate_cycles(k, max_period)
-    if len(cycles) != 1:
+    found = cycles()
+    if len(found) != 1:
         return True, ""
     infos = find_cyclic_classes(k)
     if len(infos) != 1:
         return True, ""
-    mean = cycles[0].mean_measure()
+    mean = found[0].mean_measure()
     if mean.total_mass() == 0 or mean.normalize() != infos[0].invariant:
         return True, ""
-    if cycles[0].classify() is not CycleKind.COUNTABLY_ADDITIVE:
+    if found[0].classify() is not CycleKind.COUNTABLY_ADDITIVE:
         return False, "unique cycle with invariant mean is not countably additive"
     return True, ""
 
@@ -360,10 +382,13 @@ def cmd_check(args, out, err) -> int:
     spec, code = _load_spec(args.chain, err)
     if spec is None:
         return code
+    # the cycle search and the measure battery run once, on first use
+    cycles = _once(lambda: enumerate_cycles(spec.kernel, args.max_period))
+    battery = _once(lambda: _measure_battery(spec))
     failures = 0
     for name, fn in _CHECKS:
         try:
-            ok, detail = fn(spec, args.max_period)
+            ok, detail = fn(spec, cycles, battery)
         except MeasureChainError as e:
             ok, detail = False, str(e)
         if ok:

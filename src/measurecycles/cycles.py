@@ -19,7 +19,7 @@ from .errors import InvariantViolation, MeasureChainError, NotACycle, PeriodMism
 from .kernels import Kernel, StochasticKernel
 from .measures import Measure, is_disjoint
 from .rationals import parse_rational
-from .sets import _component_cuts
+from .sets import SetExpr, _component_cuts
 
 
 class CycleKind(Enum):
@@ -258,16 +258,22 @@ def linearly_independent(measures: Sequence[Measure]) -> bool:
     return measure_rank(measures) == len(measures)
 
 
-def _deterministic_seeds(kernel) -> list[Measure]:
+def _boundary_seeds(S: SetExpr, values: Iterable[Fraction]) -> list[Measure]:
+    """The atom and the one-sided germs at each value, wherever S holds them."""
     seeds: list[Measure] = []
-    boundaries = sorted({v for comp, _ in kernel.pieces for v in _component_cuts(comp)})
-    for v in boundaries:
-        if kernel.space.contains_point(v):
+    for v in values:
+        if S.contains_point(v):
             seeds.append(Measure.dirac(v))
-        if kernel.space.contains_right_neighborhood(v):
+        if S.contains_right_neighborhood(v):
             seeds.append(Measure.right_germ(v))
-        if kernel.space.contains_left_neighborhood(v):
+        if S.contains_left_neighborhood(v):
             seeds.append(Measure.left_germ(v))
+    return seeds
+
+
+def _deterministic_seeds(kernel) -> list[Measure]:
+    boundaries = sorted({v for comp, _ in kernel.pieces for v in _component_cuts(comp)})
+    seeds = _boundary_seeds(kernel.space, boundaries)
     if kernel.space.contains_plus_tail():
         seeds.append(Measure.at_plus_infinity())
     if kernel.space.contains_minus_tail():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import (
     AmbiguousPiece,
@@ -34,11 +34,13 @@ from .measures import Generator, GeneratorKind, Measure
 from .polynomials import (
     Polynomial,
     _first_nonzero_derivative,
-    irrational_root_count_open,
+    _interior_probe,
+    _sign_at,
+    interior_rational_roots,
     polynomial_image,
-    rational_roots,
+    split_interval,
 )
-from .sets import Component, Interval, Point, SetExpr, _component_cuts, format_component
+from .sets import Component, Point, SetExpr, _component_cuts, format_component
 
 
 def _push_measure(kernel: Kernel, mu: Measure) -> Measure:
@@ -110,10 +112,7 @@ class DeterministicKernel(PiecewisePolyFunction):
         _, poly = self.piece(gen.kind.value)
         if poly.is_constant():
             return Measure.dirac(poly(Fraction(0)))
-        lead_sign = 1 if poly.leading() > 0 else -1
-        if not at_plus and poly.degree() % 2 == 1:
-            lead_sign = -lead_sign
-        if lead_sign > 0:
+        if _sign_at(poly, None, plus_infinity=at_plus) > 0:
             if not self.space.contains_plus_tail():
                 raise GermOutsideSpace("the image escapes to +infinity outside the space")
             return Measure.at_plus_infinity()
@@ -137,49 +136,25 @@ class DeterministicKernel(PiecewisePolyFunction):
         if isinstance(comp, Point):
             yield comp, Polynomial.constant(f.value_at(poly(comp.value)))
             return
-        breakpoints = sorted(
-            {v for fcomp, _ in f.pieces for v in _component_cuts(fcomp)}
-        )
         cuts: set[Fraction] = set()
-        for b in breakpoints:
+        for b in sorted({v for fcomp, _ in f.pieces for v in _component_cuts(fcomp)}):
             shifted = poly - Polynomial.constant(b)
             if shifted.is_zero():
                 continue  # poly identically b: no crossing to cut at
-            if irrational_root_count_open(shifted, comp.lo, comp.hi) > 0:
-                raise IrrationalBreakpointPreimage(
-                    f"breakpoint {b} has an irrational preimage inside {format_component(comp)}"
-                )
-            for r in rational_roots(shifted):
-                if (comp.lo is None or r > comp.lo) and (comp.hi is None or r < comp.hi):
-                    cuts.add(r)
-        ordered = sorted(cuts)
-        markers: list[Optional[Fraction]] = [comp.lo] + ordered + [comp.hi]
-        if comp.lo is not None and comp.lo_closed:
-            yield Point(comp.lo), Polynomial.constant(f.value_at(poly(comp.lo)))
-        if comp.hi is not None and comp.hi_closed:
-            yield Point(comp.hi), Polynomial.constant(f.value_at(poly(comp.hi)))
-        for c in ordered:
-            yield Point(c), Polynomial.constant(f.value_at(poly(c)))
-        for u, v in zip(markers, markers[1:]):
-            probe = _interior_probe(u, v)
-            _, fpoly = f.piece("atom", poly(probe))
-            yield Interval(u, v), fpoly.compose(poly)
+            what = f"breakpoint {b} has an irrational preimage"
+            cuts.update(interior_rational_roots(shifted, comp, IrrationalBreakpointPreimage, what))
+        points, gaps = split_interval(comp, sorted(cuts))
+        for pt in points:
+            yield pt, Polynomial.constant(f.value_at(poly(pt.value)))
+        for gap in gaps:
+            _, fpoly = f.piece("atom", poly(_interior_probe(gap)))
+            yield gap, fpoly.compose(poly)
 
     def pull_function(self, f: PiecewisePolyFunction) -> PiecewisePolyFunction:
         pieces = []
         for comp, poly in self.pieces:
             pieces.extend(self._compose_on_piece(comp, poly, f))
         return PiecewisePolyFunction(self.space, tuple(pieces))
-
-
-def _interior_probe(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
 
 
 @dataclass(frozen=True)

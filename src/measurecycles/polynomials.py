@@ -3,7 +3,10 @@
 Root location stays decidable by splitting it in two: rational roots come from
 the rational-root theorem, and a Sturm chain counts whatever real roots remain
 after those are divided out.  A positive remainder count is exactly the
-"irrational root in this interval" condition the kernel operations must reject.
+"irrational root in this interval" condition the kernel operations must reject;
+`interior_rational_roots` rejects it and returns the rational roots, and
+`split_interval` is the one splitter that cuts an interval at them (images,
+pulled-back observables and the level sets of `unit_integral_check`).
 """
 
 from __future__ import annotations
@@ -231,19 +234,61 @@ def _variations(chain: list[Polynomial], x: Optional[Fraction], plus_infinity: b
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def irrational_root_count_open(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    """Number of distinct irrational real roots of p strictly inside (lo, hi)."""
+def _root_split(
+    p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]
+) -> tuple[list[Fraction], int]:
+    """p's distinct rational roots, sorted, and the number of its irrational
+    real roots strictly inside (lo, hi), from one square-free pass."""
     if p.is_zero():
         raise ValueError("the zero polynomial is identically zero")
     q = square_free_part(p)
-    for r in rational_roots(q):
+    roots = rational_roots(q)
+    for r in roots:
         q, _ = divmod(q, Polynomial.of(-r, 1))
     if q.degree() <= 0:
-        return 0
+        return roots, 0
     chain = _sturm_chain(q)
     # q has no rational roots, so rational endpoints are never roots and the
     # Sturm count over (lo, hi] equals the open-interval count.
-    return _variations(chain, lo, plus_infinity=False) - _variations(chain, hi, plus_infinity=True)
+    count = _variations(chain, lo, plus_infinity=False) - _variations(chain, hi, plus_infinity=True)
+    return roots, count
+
+
+def irrational_root_count_open(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
+    """Number of distinct irrational real roots of p strictly inside (lo, hi)."""
+    return _root_split(p, lo, hi)[1]
+
+
+def interior_rational_roots(
+    p: Polynomial, comp: Interval, error: type[Exception], what: str
+) -> list[Fraction]:
+    """Sorted rational roots of p strictly inside the interval.
+
+    Raises ``error("<what> inside <comp>")`` when an irrational root lies
+    there, since no exact cut can be made at it.
+    """
+    roots, irrational = _root_split(p, comp.lo, comp.hi)
+    if irrational:
+        raise error(f"{what} inside {format_component(comp)}")
+    return [r for r in roots if _component_holds(Interval(comp.lo, comp.hi), "atom", r)]
+
+
+def split_interval(comp: Interval, cuts: list[Fraction]) -> tuple[list[Point], list[Interval]]:
+    """Split an interval at sorted interior cuts: its closed ends and the cuts
+    as points, and the open gaps between consecutive markers."""
+    points = [Point(comp.lo)] if comp.lo_closed else []
+    if comp.hi_closed:
+        points.append(Point(comp.hi))
+    points += [Point(c) for c in cuts]
+    markers: list[Optional[Fraction]] = [comp.lo, *cuts, comp.hi]
+    return points, [Interval(u, v) for u, v in zip(markers, markers[1:])]
+
+
+def _interior_probe(gap: Interval) -> Fraction:
+    """A rational point inside the open interval."""
+    if gap.lo is None:
+        return Fraction(0) if gap.hi is None else gap.hi - 1
+    return gap.lo + 1 if gap.hi is None else (gap.lo + gap.hi) / 2
 
 
 def rational_roots_in(p: Polynomial, comp: Component) -> list[Fraction]:
@@ -264,45 +309,15 @@ def polynomial_image(p: Polynomial, comp: Component) -> list[Component]:
         return [Point(p(comp.value))]
     if p.is_constant():
         return [Point(p(Fraction(0)))]
+    what = f"polynomial {p} has an irrational critical point"
     dp = p.derivative()
-    if irrational_root_count_open(dp, comp.lo, comp.hi) > 0:
-        raise IrrationalCriticalPoint(
-            f"polynomial {p} has an irrational critical point inside {format_component(comp)}"
-        )
-    cuts = [
-        r
-        for r in rational_roots(dp)
-        if (comp.lo is None or r > comp.lo) and (comp.hi is None or r < comp.hi)
-    ]
-    out: list[Component] = []
-    if comp.lo is not None and comp.lo_closed:
-        out.append(Point(p(comp.lo)))
-    if comp.hi is not None and comp.hi_closed:
-        out.append(Point(p(comp.hi)))
-    for c in cuts:
-        out.append(Point(p(c)))
-    markers: list[Optional[Fraction]] = [comp.lo] + cuts + [comp.hi]
-    for u, v in zip(markers, markers[1:]):
-        # p is strictly monotone on (u, v); the image is the open interval
-        # between the one-sided limits.
-        if u is None:
-            a = None
-            a_sign_pos = _sign_at(p, None, plus_infinity=False) > 0
-        else:
-            a = p(u)
-        if v is None:
-            b = None
-            b_sign_pos = _sign_at(p, None, plus_infinity=True) > 0
-        else:
-            b = p(v)
-        if a is None and b is None:
-            # strictly monotone over the whole line: image is the line
-            out.append(Interval(None, None))
-        elif a is None:
-            out.append(Interval(b, None) if a_sign_pos else Interval(None, b))
-        elif b is None:
-            out.append(Interval(a, None) if b_sign_pos else Interval(None, a))
-        else:
-            lo, hi = (a, b) if a < b else (b, a)
-            out.append(Interval(lo, hi))
+    cuts = interior_rational_roots(dp, comp, IrrationalCriticalPoint, what)
+    points, gaps = split_interval(comp, cuts)
+    out: list[Component] = [Point(p(pt.value)) for pt in points]
+    for gap in gaps:
+        # dp has no root in the gap, so p is strictly monotone there: the image
+        # is the open interval between the one-sided limits, None at infinity.
+        a = None if gap.lo is None else p(gap.lo)
+        b = None if gap.hi is None else p(gap.hi)
+        out.append(Interval(a, b) if dp(_interior_probe(gap)) > 0 else Interval(b, a))
     return out

@@ -13,9 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .cycles import Cycle, row_reduce
+from .cycles import Cycle, _boundary_seeds, row_reduce
 from .errors import (
     InvariantViolation,
     IrrationalRootBoundary,
@@ -28,13 +27,8 @@ from .errors import (
 from .functions import PiecewisePolyFunction, integrate
 from .kernels import DeterministicKernel, Kernel, StochasticKernel
 from .measures import Generator, GeneratorKind, Measure
-from .polynomials import (
-    Polynomial,
-    irrational_root_count_open,
-    polynomial_image,
-    rational_roots_in,
-)
-from .sets import Point, SetExpr, format_component
+from .polynomials import Polynomial, interior_rational_roots, polynomial_image, split_interval
+from .sets import Point, SetExpr
 
 
 @dataclass(frozen=True)
@@ -124,57 +118,37 @@ class RecurrentClassInfo:
         )
 
 
-def _strongly_connected_components(n: int, edges: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components in a deterministic order."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(ei, len(edges[v])):
-                w = edges[v][j]
-                if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-        # next root
-    return components
+def _bfs_levels(edges: list[list[int]], start: int) -> dict[int, int]:
+    """Distance from `start` of every state it reaches."""
+    level = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in edges[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return level
 
 
-def _solve_invariant(states: Sequence[Fraction], rows: list[list[Fraction]]) -> list[Fraction]:
+def _closed_classes(edges: list[list[int]]) -> list[dict[int, int]]:
+    """Closed (recurrent) classes of a finite chain given by its out-edges,
+    each as the BFS levels of its states from its smallest state.
+
+    A state is recurrent iff every state it reaches reaches it back; its
+    closed class is then the set of states it reaches.  Every row of a
+    stochastic matrix has an out-edge, so a state that reaches no other state
+    has a self-loop.  One search per state: O(n (n + e)), below the O(n^3)
+    invariant solve that follows.
+    """
+    reach = [_bfs_levels(edges, v) for v in range(len(edges))]
+    firsts = {min(r) for v, r in enumerate(reach) if all(v in reach[w] for w in r)}
+    return [reach[v] for v in sorted(firsts)]
+
+
+def _solve_invariant(rows: list[list[Fraction]]) -> list[Fraction]:
     """Unique probability vector pi with pi P = pi for an irreducible matrix."""
-    n = len(states)
+    n = len(rows)
     # columns of (P^T - I), last equation replaced by sum(pi) = 1
     aug = []
     for i in range(n):
@@ -188,61 +162,25 @@ def _solve_invariant(states: Sequence[Fraction], rows: list[list[Fraction]]) -> 
     return [row[n] for row in aug]
 
 
-def _restricted_rows(kernel: StochasticKernel, members: list[int]) -> list[list[Fraction]]:
-    return [[kernel.matrix[i][j] for j in members] for i in members]
-
-
-def _matrix_power(rows: list[list[Fraction]], power: int) -> list[list[Fraction]]:
-    n = len(rows)
-    result = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    base = [row[:] for row in rows]
-    p = power
-    while p:
-        if p & 1:
-            result = [
-                [
-                    sum((result[i][k] * base[k][j] for k in range(n)), Fraction(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        base = [
-            [sum((base[i][k] * base[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        p >>= 1
-    return result
-
-
 def find_cyclic_classes(kernel: Kernel) -> list[RecurrentClassInfo]:
     """Recurrent classes with their periods, cyclic subclasses, and exact
-    invariant distributions.  Defined for finite chains only."""
+    invariant distributions.  Defined for finite chains only.
+
+    The recurrent classes are the closed reachability sets (`_closed_classes`).
+    In a class of period d each cyclic subclass carries mass 1/d of the class
+    invariant pi, so d * pi restricted to ``subclasses[0]`` is the unique
+    invariant of the d-step chain there.
+    """
     if not isinstance(kernel, StochasticKernel):
         raise NotFiniteChain("cyclic classes are defined for finite chains")
     n = len(kernel.states)
     edges = [
         [j for j in range(n) if kernel.matrix[i][j] > 0] for i in range(n)
     ]
-    sccs = _strongly_connected_components(n, edges)
     infos = []
-    for comp in sccs:
-        comp_set = set(comp)
-        if any(j not in comp_set for i in comp for j in edges[i]):
-            continue  # transient: it leaks
-        if len(comp) == 1 and comp[0] not in edges[comp[0]]:
-            continue  # isolated state with no self-loop cannot recur
-        members = sorted(comp)
-        # BFS levels from the smallest state; period = gcd of level slacks
-        pos = {v: k for k, v in enumerate(members)}
-        ref = members[0]
-        level = {ref: 0}
-        queue = deque([ref])
-        while queue:
-            v = queue.popleft()
-            for w in edges[v]:
-                if w not in level:
-                    level[w] = level[v] + 1
-                    queue.append(w)
+    for level in _closed_classes(edges):
+        members = sorted(level)
+        # period = gcd of the level slacks along the edges
         period = 0
         for v in members:
             for w in edges[v]:
@@ -258,19 +196,14 @@ def find_cyclic_classes(kernel: Kernel) -> list[RecurrentClassInfo]:
                     raise InvariantViolation(
                         "one-step transitions must map each subclass onto the next"
                     )
-        rows = _restricted_rows(kernel, members)
-        pi = _solve_invariant([kernel.states[i] for i in members], rows)
+        rows = [[kernel.matrix[i][j] for j in members] for i in members]
+        pi = dict(zip(members, _solve_invariant(rows)))
         invariant = Measure.from_terms(
-            (Generator(GeneratorKind.ATOM, kernel.states[members[k]]), pi[k])
-            for k in range(len(members))
+            (Generator(GeneratorKind.ATOM, kernel.states[v]), pi[v]) for v in members
         )
-        sub0 = [pos[v] for v in subclasses[0]]
-        power_rows = _matrix_power(rows, period)
-        sub_rows = [[power_rows[i][j] for j in sub0] for i in sub0]
-        sub_pi = _solve_invariant([kernel.states[members[k]] for k in sub0], sub_rows)
         subclass_invariant = Measure.from_terms(
-            (Generator(GeneratorKind.ATOM, kernel.states[members[k]]), p)
-            for k, p in zip(sub0, sub_pi)
+            (Generator(GeneratorKind.ATOM, kernel.states[v]), period * pi[v])
+            for v in subclasses[0]
         )
         infos.append(
             RecurrentClassInfo(
@@ -295,23 +228,6 @@ def transient_states(kernel: StochasticKernel) -> list[Fraction]:
 _FIXED_POINT_BUDGET = 64
 
 
-def _deterministic_cycle_seeds(D: SetExpr) -> list[Measure]:
-    seeds = []
-    for comp in D.components:
-        if isinstance(comp, Point):
-            seeds.append(Measure.dirac(comp.value))
-        else:
-            if comp.lo is not None:
-                if comp.lo_closed:
-                    seeds.append(Measure.dirac(comp.lo))
-                seeds.append(Measure.right_germ(comp.lo))
-            if comp.hi is not None:
-                if comp.hi_closed:
-                    seeds.append(Measure.dirac(comp.hi))
-                seeds.append(Measure.left_germ(comp.hi))
-    return seeds
-
-
 def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
     """The measure cycle a singular state cycle supports.
 
@@ -326,32 +242,24 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
         raise ValueError("not a state cycle for this kernel")
     m = cycle.period
     if isinstance(kernel, StochasticKernel):
-        members = [i for i, s in enumerate(kernel.states) if cycle.sets[0].contains_point(s)]
-        power = _matrix_power([list(r) for r in kernel.matrix], m)
-        rows = [[power[i][j] for j in members] for i in members]
-        # recurrent classes of the restricted m-step chain
-        edges = [[k for k, p in enumerate(row) if p > 0] for row in rows]
-        sccs = _strongly_connected_components(len(members), edges)
-        closed = [
-            comp for comp in sccs
-            if all(t in set(comp) for v in comp for t in edges[v])
-        ]
-        pies = []
-        for comp in closed:
-            comp_rows = [[rows[i][j] for j in comp] for i in comp]
-            pi = _solve_invariant([kernel.states[members[k]] for k in comp], comp_rows)
-            pies.append(
-                Measure.from_terms(
-                    (Generator(GeneratorKind.ATOM, kernel.states[members[k]]), p)
-                    for k, p in zip(comp, pi)
-                )
-            )
-        first = Measure.zero()
-        for pi_measure in pies:
-            first = first + pi_measure * Fraction(1, len(pies))
+        # The m-step chain restricted to D_1 is stochastic, since the state
+        # cycle verified; average the invariants of its recurrent classes.
+        states = tuple(s for s in kernel.states if cycle.sets[0].contains_point(s))
+        rows = []
+        for s in states:
+            mu = Measure.dirac(s)
+            for _ in range(m):
+                mu = kernel.push_measure(mu)
+            mass = {g.location: c for g, c in mu.terms}
+            rows.append(tuple(mass.get(t, Fraction(0)) for t in states))
+        classes = find_cyclic_classes(StochasticKernel(states, tuple(rows)))
+        first = Measure.from_terms(
+            (g, c / len(classes)) for info in classes for g, c in info.invariant.terms
+        )
     else:
         first = None
-        for seed in _deterministic_cycle_seeds(cycle.sets[0]):
+        D = cycle.sets[0]
+        for seed in _boundary_seeds(D, D.finite_boundary_values()):
             current = seed
             for _ in range(_FIXED_POINT_BUDGET):
                 nxt = current
@@ -441,15 +349,13 @@ def unit_integral_check(f: PiecewisePolyFunction, mu: Measure) -> UnitIntegralRe
             continue
         shifted = poly - one
         if isinstance(comp, Point):
-            if shifted(comp.value) == 0:
-                ones.append(comp)
-            continue
-        if irrational_root_count_open(shifted, comp.lo, comp.hi) > 0:
-            raise IrrationalRootBoundary(
-                f"{{f = 1}} has an irrational boundary point inside {format_component(comp)}"
+            points = [comp]
+        else:
+            roots = interior_rational_roots(
+                shifted, comp, IrrationalRootBoundary, "{f = 1} has an irrational boundary point"
             )
-        for r in rational_roots_in(shifted, comp):
-            ones.append(Point(r))
+            points, _ = split_interval(comp, roots)
+        ones.extend(pt for pt in points if shifted(pt.value) == 0)
     level_set = SetExpr.from_components(ones)
     mass = mu.evaluate(level_set)
     holds = integral != 1 or mass == 1

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import measurecycles
+from measurecycles import cli
 from measurecycles.cli import main
+from measurecycles.errors import InvariantViolation
 
 SWAP_VALIDATE = """\
 chain three_state_swap: valid
@@ -224,6 +226,63 @@ def test_check_reports_bad_declared_cycle(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "check declared_cycles: FAIL (declared cycle 1 is not a cycle)"
     assert sum(1 for line in lines if ": PASS" in line) == len(CHECK_NAMES) - 1
+
+
+def test_check_searches_cycles_once(monkeypatch, capsys):
+    calls = []
+    search = cli.enumerate_cycles
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "enumerate_cycles", counted)
+    for name in ["three_state_swap", "interval_squares"]:
+        calls.clear()
+        assert main(["check", name]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_check_reports_a_failed_search_in_each_check(monkeypatch, capsys):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise InvariantViolation("search broke")
+
+    monkeypatch.setattr(cli, "enumerate_cycles", failing)
+    assert main(["check", "three_state_swap"]) == 2
+    needing = {
+        "cycle_classification",
+        "mean_invariance",
+        "decomposition_roundtrip",
+        "independence",
+        "unique_cycle_countably_additive",
+    }
+    assert capsys.readouterr().out.splitlines() == [
+        f"check {n}: FAIL (search broke)" if n in needing else f"check {n}: PASS"
+        for n in CHECK_NAMES
+    ]
+    assert len(calls) == 1
+
+
+def test_trajectory_past_the_digit_limit_exits_cleanly():
+    src = str(Path(measurecycles.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from measurecycles.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "trajectory", "interval_squares", "--x0", "1/2", "--steps", "14"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: step 14: ")
+    assert len(run.stderr.splitlines()) == 1
+    assert "Traceback" not in run.stderr
 
 
 def test_output_is_deterministic(capsys):

@@ -18,6 +18,7 @@ from measurecycles import (
 )
 from measurecycles.errors import (
     AmbiguousPiece,
+    IrrationalBreakpointPreimage,
     MeasureChainError,
     NonAtomicGenerator,
     PointEscapesSpace,
@@ -303,6 +304,21 @@ def test_pull_function_pointwise_oracle():
         for comp, _ in k.pieces:
             for t in [comp.lo, comp.lo + F(1, 4), comp.lo + F(1, 2), comp.hi - F(1, 5)]:
                 assert tf.value_at(t) == f.value_at(k.map_point(t))
+
+
+def test_pull_rejects_irrational_breakpoint_preimage():
+    unit = SetExpr.interval(0, 1, True, True)
+    square = DeterministicKernel(unit, ((Interval(F(0), F(1), True, True), Polynomial.of(0, 0, 1)),))
+    step = PiecewisePolyFunction.build(
+        unit,
+        [
+            (Interval(F(0), F(1, 2), True, False), Polynomial.constant(0)),
+            (Interval(F(1, 2), F(1), True, True), Polynomial.constant(1)),
+        ],
+    )
+    with pytest.raises(IrrationalBreakpointPreimage) as excinfo:
+        square.pull_function(step)
+    assert str(excinfo.value) == "breakpoint 1/2 has an irrational preimage inside [0,1]"
 
 
 def test_isometry_on_positive_cone():

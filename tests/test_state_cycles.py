@@ -5,6 +5,8 @@ import pytest
 
 from measurecycles import (
     Cycle,
+    Generator,
+    GeneratorKind,
     Measure,
     Point,
     SetExpr,
@@ -186,7 +188,68 @@ def test_subclass_structure_on_random_small_chains():
             assert verify_state_cycle(k, cyc)
 
 
+def _sympy_invariant(sympy, P, idx):
+    """Normalized nullspace vector of (P restricted to idx)^T - I, as Fractions."""
+    sub = P.extract(idx, idx)
+    (v,) = (sub.T - sympy.eye(len(idx))).nullspace()
+    return [F(int(x.p), int(x.q)) for x in v / sum(v)]
+
+
+def _atom_masses(mu, states):
+    return [mu.coefficient(Generator(GeneratorKind.ATOM, s)) for s in states]
+
+
+def test_classes_and_invariants_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2020)
+    chains = [_random_small_matrix_chain(rng) for _ in range(60)]
+    chains += [random_periodic_block_chain(rng)[0] for _ in range(40)]
+    for k in chains:
+        n = len(k.states)
+        P = sympy.Matrix(n, n, lambda i, j: sympy.Rational(k.matrix[i][j]))
+        # brute-force transitive closure; recurrent = every reached state reaches back
+        reach = [[i == j or k.matrix[i][j] > 0 for j in range(n)] for i in range(n)]
+        for m in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][m] and reach[m][j])
+        want = {
+            tuple(k.states[j] for j in range(n) if reach[i][j])
+            for i in range(n)
+            if all(reach[j][i] for j in range(n) if reach[i][j])
+        }
+        infos = find_cyclic_classes(k)
+        assert {info.states for info in infos} == want
+        index = {s: i for i, s in enumerate(k.states)}
+        for info in infos:
+            pi = _sympy_invariant(sympy, P, [index[s] for s in info.states])
+            assert _atom_masses(info.invariant, info.states) == pi
+            sub0 = info.subclasses[0]
+            sub_pi = _sympy_invariant(sympy, P ** info.period, [index[s] for s in sub0])
+            assert _atom_masses(info.subclass_invariant, sub0) == sub_pi
+
+
 # -- measures from state cycles and back --------------------------------------------
+
+
+def test_reducible_restriction_averages_its_classes():
+    swaps = StochasticKernel(
+        tuple(F(i) for i in range(1, 5)),
+        tuple(tuple(F(int(j == t)) for j in range(4)) for t in (1, 0, 3, 2)),
+    )
+    cycle = measures_from_state_cycle(swaps, StateCycle((points(1, 3), points(2, 4))))
+    assert str(cycle.coords[0]) == "1/2*atom(1) + 1/2*atom(3)"
+    assert cycle.coords[1] == Measure.dirac(F(2)) * F(1, 2) + Measure.dirac(F(4)) * F(1, 2)
+
+
+def test_transient_state_in_first_set_carries_no_mass():
+    # 1 <-> 2, and 3 -> 2 is transient
+    k = StochasticKernel(
+        (F(1), F(2), F(3)),
+        ((F(0), F(1), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0))),
+    )
+    cycle = measures_from_state_cycle(k, StateCycle((points(1, 3), points(2))))
+    assert cycle.coords == (Measure.dirac(F(1)), Measure.dirac(F(2)))
 
 
 def test_roundtrip_on_swap_chain():
