@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolation, MeasureChainError, NotACycle, PeriodMismatch
@@ -60,10 +61,7 @@ class Cycle:
         return len(self.coords)
 
     def mean_measure(self) -> Measure:
-        total = Measure.zero()
-        for m in self.coords:
-            total = total + m
-        return total * Fraction(1, self.period)
+        return sum(self.coords, Measure.zero()) * Fraction(1, self.period)
 
     def norm(self) -> Fraction:
         norms = {m.norm() for m in self.coords}
@@ -97,16 +95,14 @@ class Cycle:
 
 
 def find_cycle_from(kernel: Kernel, seed: Measure, max_steps: int) -> Optional[Cycle]:
-    """Iterate the pushforward from the seed until an exact repeat closes a cycle."""
-    seen: dict[Measure, int] = {}
-    trail: list[Measure] = []
+    """Push the seed until an exact repeat closes a cycle; return that cycle
+    already in canonical rotation, or None if none closes within max_steps."""
+    seen: dict[Measure, int] = {}  # the orbit so far, in order, with positions
     current = seed
     for _ in range(max_steps + 1):
         if current in seen:
-            start = seen[current]
-            return Cycle(kernel, tuple(trail[start:]))
-        seen[current] = len(trail)
-        trail.append(current)
+            return Cycle(kernel, _least_rotation(tuple(seen)[seen[current]:]))
+        seen[current] = len(seen)
         try:
             current = kernel.push_measure(current)
         except MeasureChainError:
@@ -131,10 +127,13 @@ def _serial_key(coords: tuple[Measure, ...]) -> tuple[str, ...]:
     return tuple(json.dumps(m.to_json_obj(), separators=(",", ":")) for m in coords)
 
 
+def _least_rotation(coords: tuple[Measure, ...]) -> tuple[Measure, ...]:
+    return min(_rotations(coords), key=_serial_key)
+
+
 def canonical_rotation(cycle: Cycle) -> Cycle:
     """The rotation whose serialized coordinate list is lexicographically least."""
-    best = min(_rotations(cycle.coords), key=_serial_key)
-    return Cycle(cycle.kernel, best)
+    return Cycle(cycle.kernel, _least_rotation(cycle.coords))
 
 
 def cycle_equal(a: Cycle, b: Cycle) -> bool:
@@ -185,19 +184,8 @@ class DecomposedCycle:
 
 
 def decompose_cycle(cycle: Cycle) -> DecomposedCycle:
-    ca_parts = []
-    pfa_parts = []
-    for m in cycle.coords:
-        ca, pfa = m.split()
-        ca_parts.append(ca)
-        pfa_parts.append(pfa)
-    ca_parts = tuple(ca_parts)
-    pfa_parts = tuple(pfa_parts)
-    disjoint = all(
-        is_disjoint(a, b)
-        for i, a in enumerate(cycle.coords)
-        for b in cycle.coords[i + 1 :]
-    )
+    ca_parts, pfa_parts = map(tuple, zip(*(m.split() for m in cycle.coords)))
+    disjoint = all(is_disjoint(a, b) for a, b in combinations(cycle.coords, 2))
 
     def side(parts: tuple[Measure, ...]) -> Optional[Cycle]:
         if all(p.is_zero() for p in parts):
@@ -271,7 +259,30 @@ def _boundary_seeds(S: SetExpr, values: Iterable[Fraction]) -> list[Measure]:
     return seeds
 
 
-def _deterministic_seeds(kernel) -> list[Measure]:
+def _class_cycles(kernel: StochasticKernel) -> list[tuple[Measure, ...]]:
+    """(pi_0, ..., pi_{d-1}) per recurrent class of period d: the subclass
+    invariant on the first cyclic subclass and its d - 1 pushes."""
+    from .state_cycles import find_cyclic_classes
+
+    cycles = []
+    for info in find_cyclic_classes(kernel):
+        coords = [info.subclass_invariant]
+        for _ in range(info.period - 1):
+            coords.append(kernel.push_measure(coords[-1]))
+        cycles.append(tuple(coords))
+    return cycles
+
+
+def canonical_seeds(kernel: Kernel) -> list[Measure]:
+    """Seeds for the piecewise cycle search, and measures for the check battery.
+
+    Finite chains: an atom per state, then the coordinates of each class cycle.
+    Piecewise kernels: atoms and one-sided germs at every piece boundary value
+    that the space supports, plus infinity masses for unbounded spaces.
+    """
+    if isinstance(kernel, StochasticKernel):
+        atoms = [Measure.dirac(s) for s in kernel.states]
+        return atoms + [m for coords in _class_cycles(kernel) for m in coords]
     boundaries = sorted({v for comp, _ in kernel.pieces for v in _component_cuts(comp)})
     seeds = _boundary_seeds(kernel.space, boundaries)
     if kernel.space.contains_plus_tail():
@@ -281,39 +292,29 @@ def _deterministic_seeds(kernel) -> list[Measure]:
     return seeds
 
 
-def _stochastic_seeds(kernel: StochasticKernel) -> list[Measure]:
-    from .state_cycles import find_cyclic_classes
+def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
+    """Cycles of period <= max_period in canonical rotation, sorted by period.
 
-    seeds = [Measure.dirac(s) for s in kernel.states]
-    for info in find_cyclic_classes(kernel):
-        current = info.subclass_invariant
-        for _ in range(info.period):
-            seeds.append(current)
-            current = kernel.push_measure(current)
-    return seeds
-
-
-def canonical_seeds(kernel: Kernel) -> list[Measure]:
-    """Deterministic seed list for the cycle search.
-
-    Finite chains: an atom per state plus the exact invariant distribution of
-    each cyclic subclass.  Piecewise kernels: atoms and one-sided germs at
-    every piece boundary value that the space supports, plus infinity masses
-    for unbounded spaces.
+    Finite chains: the class cycles (pi_0, ..., pi_{d-1}), one per recurrent
+    class of period d <= max_period, with pi_r the invariant probability of
+    the d-step chain on the r-th cyclic subclass; their coordinates are
+    disjoint, so each has rank d.  Every cycle of the chain is a nonnegative
+    combination of rotated class cycles, over classes of any period, and only
+    the class cycles are listed.  So the mixtures that atoms of transient or
+    recurrent states close into (some of rank below their period) are not, nor
+    is the period-2 cycle (pi_0 + pi_2, pi_1 + pi_3) of a period-4 class.
+    Piecewise kernels: the distinct cycles that close within 4m+8 pushes,
+    m = max_period, from a boundary seed of `canonical_seeds`; cycles that no
+    such seed reaches are not listed.
     """
     if isinstance(kernel, StochasticKernel):
-        return _stochastic_seeds(kernel)
-    return _deterministic_seeds(kernel)
-
-
-def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
-    """All distinct cycles reachable from the canonical seeds, canonically sorted."""
-    max_steps = 4 * max_period + 8
+        cycles = (
+            Cycle(kernel, _least_rotation(c)) for c in _class_cycles(kernel) if len(c) <= max_period
+        )
+    else:
+        cycles = (find_cycle_from(kernel, s, 4 * max_period + 8) for s in canonical_seeds(kernel))
     found: dict[tuple[str, ...], Cycle] = {}
-    for seed in canonical_seeds(kernel):
-        cycle = find_cycle_from(kernel, seed, max_steps)
-        if cycle is None or cycle.period > max_period:
-            continue
-        canon = canonical_rotation(cycle)
-        found.setdefault(_serial_key(canon.coords), canon)
+    for cycle in cycles:
+        if cycle is not None and cycle.period <= max_period:
+            found.setdefault(_serial_key(cycle.coords), cycle)
     return [found[key] for key in sorted(found, key=lambda k: (len(k), k))]

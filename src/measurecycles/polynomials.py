@@ -291,11 +291,6 @@ def _interior_probe(gap: Interval) -> Fraction:
     return gap.lo + 1 if gap.hi is None else (gap.lo + gap.hi) / 2
 
 
-def rational_roots_in(p: Polynomial, comp: Component) -> list[Fraction]:
-    """Rational roots of p lying in the component (endpoint flags respected)."""
-    return [r for r in rational_roots(p) if _component_holds(comp, "atom", r)]
-
-
 def polynomial_image(p: Polynomial, comp: Component) -> list[Component]:
     """Exact image of an interval or point under p, as set components.
 

@@ -7,6 +7,7 @@ from measurecycles import (
     Cycle,
     CycleKind,
     Measure,
+    StochasticKernel,
     canonical_rotation,
     canonical_seeds,
     classify_cycle,
@@ -15,13 +16,19 @@ from measurecycles import (
     decompose_cycle,
     enumerate_cycles,
     find_cycle_from,
+    find_cyclic_classes,
     linearly_independent,
     load_bundled,
     measure_rank,
     verify_cycle,
 )
 from measurecycles.errors import NotACycle, PeriodMismatch
-from support import conveyor_kernel, conveyor_mixed_cycle
+from support import (
+    conveyor_kernel,
+    conveyor_mixed_cycle,
+    random_periodic_block_chain,
+    random_stochastic_kernel,
+)
 
 F = Fraction
 
@@ -129,6 +136,47 @@ def test_enumeration_is_deterministic():
     a = enumerate_cycles(closed_kernel(), 6)
     b = enumerate_cycles(closed_kernel(), 6)
     assert [c.coords for c in a] == [c.coords for c in b]
+
+
+def test_transient_feed_gives_only_the_class_cycle():
+    # the 4-cycle 1 -> 2 -> 3 -> 4 -> 1, and state 5 sending 1/2 to 1 and 1/2 to 2
+    rows = [[F(0)] * 5 for _ in range(5)]
+    for i in range(4):
+        rows[i][(i + 1) % 4] = F(1)
+    rows[4][0] = rows[4][1] = F(1, 2)
+    k = StochasticKernel(tuple(F(s) for s in range(1, 6)), tuple(map(tuple, rows)))
+    atoms = tuple(Measure.dirac(F(s)) for s in range(1, 5))
+    found = enumerate_cycles(k, 5)
+    assert [c.coords for c in found] == [atoms]
+    assert measure_rank(found[0].coords) == 4
+    assert canonical_seeds(k) == [Measure.dirac(F(s)) for s in range(1, 6)] + list(atoms)
+    # the mixture the atom at 5 closes into is a real cycle of rank 3, left unlisted
+    mixture = tuple((atoms[i] + atoms[(i + 1) % 4]) * F(1, 2) for i in range(4))
+    assert verify_cycle(k, mixture)
+    assert measure_rank(mixture) == 3
+    assert find_cycle_from(k, Measure.dirac(F(5)), 28).coords == mixture
+
+
+def test_class_cycles_span_every_closed_atom_seed():
+    rng = random.Random(606)
+    kernels = [random_stochastic_kernel(rng, 4) for _ in range(150)]
+    kernels += [random_periodic_block_chain(rng)[0] for _ in range(30)]
+    for k in kernels:
+        n = len(k.states)
+        found = enumerate_cycles(k, n)
+        classes = find_cyclic_classes(k)
+        supports = [{x for m in c.coords for x in m.atom_support()} for c in found]
+        assert sorted(map(sorted, supports)) == sorted(list(info.states) for info in classes)
+        basis = [m for c in found for m in c.coords]
+        rank = measure_rank(basis)
+        assert rank == len(basis)
+        for s in k.states:
+            closed = find_cycle_from(k, Measure.dirac(s), 4 * n + 8)
+            if closed is not None:
+                assert measure_rank(basis + list(closed.coords)) == rank
+        bound = rng.randint(1, n)
+        periods = sorted(info.period for info in classes if info.period <= bound)
+        assert sorted(c.period for c in enumerate_cycles(k, bound)) == periods
 
 
 def test_canonical_seeds_cover_space_features():

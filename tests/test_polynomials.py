@@ -10,7 +10,6 @@ from measurecycles.polynomials import (
     irrational_root_count_open,
     polynomial_image,
     rational_roots,
-    rational_roots_in,
     square_free_part,
 )
 
@@ -84,13 +83,6 @@ def test_irrational_root_count_sturm():
     r = p * Polynomial.of(-1, 1)
     assert irrational_root_count_open(r, F(0), F(3)) == 1
     assert irrational_root_count_open(r, F(-2), F(3)) == 2
-
-
-def test_rational_roots_in_respects_endpoints():
-    p = Polynomial.of(0, 1) * Polynomial.of(-1, 1)  # roots 0, 1
-    assert rational_roots_in(p, Interval(F(0), F(1))) == []
-    assert rational_roots_in(p, Interval(F(0), F(1), True, True)) == [F(0), F(1)]
-    assert rational_roots_in(p, Point(F(1))) == [F(1)]
 
 
 def test_image_of_monotone_piece():
