@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     AmbiguousPiece,
@@ -229,4 +228,4 @@ class StochasticKernel:
         return PiecewisePolyFunction(self.space, tuple(pieces))
 
 
-Kernel = Union[DeterministicKernel, StochasticKernel]
+Kernel = DeterministicKernel | StochasticKernel

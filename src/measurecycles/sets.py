@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .rationals import format_rational, parse_rational
 
@@ -45,7 +45,7 @@ class Interval:
             raise ValueError("interval needs lo < hi; use Point for singletons")
 
 
-Component = Union[Point, Interval]
+Component = Point | Interval
 
 
 def format_component(comp: Component) -> str:

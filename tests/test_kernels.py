@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import measurecycles
 
 from measurecycles import (
     DeterministicKernel,
@@ -383,3 +389,27 @@ def test_push_requires_states_in_space():
     k = load_bundled("three_state_swap").kernel
     with pytest.raises(MeasureChainError):
         k.push_measure(Measure.dirac(F(17)))
+
+
+def test_reimport_releases_the_previous_package():
+    # A module-level typing.Union alias is cached by typing, and the cache kept
+    # every earlier copy of the package alive after a fresh import.
+    code = (
+        "import gc, sys, weakref\n"
+        "import measurecycles\n"
+        "old = [weakref.ref(measurecycles.Measure), weakref.ref(measurecycles.Interval)]\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'measurecycles']:\n"
+        "    del sys.modules[name]\n"
+        "import measurecycles\n"
+        "gc.collect()\n"
+        "sys.exit(sum(ref() is not None for ref in old))\n"
+    )
+    src = str(Path(measurecycles.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
