@@ -155,6 +155,8 @@ def test_transient_feed_gives_only_the_class_cycle():
     assert verify_cycle(k, mixture)
     assert measure_rank(mixture) == 3
     assert find_cycle_from(k, Measure.dirac(F(5)), 28).coords == mixture
+    # the search returns its cycle in canonical rotation, whatever the seed
+    assert find_cycle_from(k, Measure.dirac(F(3)), 28).coords == atoms
 
 
 def test_class_cycles_span_every_closed_atom_seed():

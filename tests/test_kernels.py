@@ -392,8 +392,8 @@ def test_push_requires_states_in_space():
 
 
 def test_reimport_releases_the_previous_package():
-    # A module-level typing.Union alias is cached by typing, and the cache kept
-    # every earlier copy of the package alive after a fresh import.
+    # typing caches Union objects, so a module-level typing.Union alias would
+    # keep every earlier copy of the package alive after a fresh import.
     code = (
         "import gc, sys, weakref\n"
         "import measurecycles\n"
