@@ -48,7 +48,6 @@ from .state_cycles import (
     measures_from_state_cycle,
     state_cycle_equal,
     state_cycle_from_measures,
-    transient_states,
     verify_state_cycle,
 )
 
@@ -194,7 +193,8 @@ def cmd_classes(args, out, err) -> int:
             inner = ", ".join(format_rational(s) for s in sub)
             print(f"  subclass {r}: {{{inner}}}", file=out)
         print(f"  invariant: {info.invariant}", file=out)
-    leftovers = transient_states(k)
+    recurrent = {s for info in infos for s in info.states}
+    leftovers = [s for s in k.states if s not in recurrent]
     if leftovers:
         print("transient states: " + ", ".join(format_rational(s) for s in leftovers), file=out)
     else:
@@ -439,7 +439,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args, sys.stdout, sys.stderr)
+    try:
+        code = args.fn(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout at devnull so that the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

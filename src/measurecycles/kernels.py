@@ -34,7 +34,7 @@ from .polynomials import (
     Polynomial,
     _first_nonzero_derivative,
     _interior_probe,
-    _sign_at,
+    _sign_at_infinity,
     interior_rational_roots,
     polynomial_image,
     split_interval,
@@ -111,7 +111,7 @@ class DeterministicKernel(PiecewisePolyFunction):
         _, poly = self.piece(gen.kind.value)
         if poly.is_constant():
             return Measure.dirac(poly(Fraction(0)))
-        if _sign_at(poly, None, plus_infinity=at_plus) > 0:
+        if _sign_at_infinity(poly, at_plus) > 0:
             if not self.space.contains_plus_tail():
                 raise GermOutsideSpace("the image escapes to +infinity outside the space")
             return Measure.at_plus_infinity()

@@ -1,14 +1,26 @@
-"""Polynomials with rational coefficients, plus the exact root tooling.
+"""Polynomials with rational coefficients, plus the exact root engine.
 
-Root location stays decidable by splitting it in two: rational roots come from
-the rational-root theorem, and a Sturm chain counts whatever real roots remain
-after those are divided out.  A positive remainder count is exactly the
-"irrational root in this interval" condition the kernel operations must reject;
-`interior_rational_roots` rejects it and returns the rational roots, and
-`split_interval` is the one splitter that cuts an interval at them (images,
-pulled-back observables and the level sets of `unit_integral_check`).
+One engine, `_real_roots`, finds the roots of p on an open interval whose ends
+may be infinite: the sorted rational roots strictly inside, and the number of
+irrational ones.  It computes with integers only.  It clears denominators to a
+primitive integer polynomial and takes its square-free part by a primitive
+pseudo-remainder gcd.  Descartes' rule of signs with Vincent–Collins–Akritas
+bisection (integer Taylor shifts; a Cauchy bound for an infinite end) isolates
+the roots.  One exact test of the simplest rational in each narrowed isolating
+interval tells a rational root from an irrational one.
+
+Cost: with n the degree and t the bit size of the cleared coefficients and of
+the interval ends, every step is polynomial in n and t.  The bisection tree
+has O(n(t + log n)) nodes (Eigenwillig, Sharma and Yap 2006), each an O(n^2)
+Taylor shift, and narrowing takes O(n + t) halvings.  No step enumerates
+divisors, so a 40-digit coefficient costs milliseconds, not hours.
+
+A positive irrational count is exactly the "irrational root in this interval"
+condition the kernel operations must reject; `interior_rational_roots` rejects
+it and returns the rational roots, and `split_interval` is the one splitter
+that cuts an interval at them (images, pulled-back observables and the level
+sets of `unit_integral_check`).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,7 +30,7 @@ from typing import Optional
 
 from .errors import IrrationalCriticalPoint
 from .rationals import format_rational, parse_rational
-from .sets import Component, Interval, Point, _component_holds, format_component
+from .sets import Component, Interval, Point, format_component
 
 
 @dataclass(frozen=True)
@@ -152,111 +164,185 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * (1 / a.leading())  # monic
 
 
-def square_free_part(p: Polynomial) -> Polynomial:
-    if p.degree() <= 0:
-        return p
-    g = polynomial_gcd(p, p.derivative())
-    if g.degree() <= 0:
-        return p
-    q, _ = divmod(p, g)
+# -- the root engine: integer polynomials as ascending coefficient lists ------
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    g = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [c // g for c in f]
+
+
+def _integer_polynomial(p: Polynomial) -> list[int]:
+    """The primitive integer multiple of a nonzero p."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    a = list(a)
+    while len(a) >= len(b):
+        shift, top = len(a) - len(b), a[-1]
+        a = [b[-1] * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= top * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b, for a divisor b of a whose quotient has integer coefficients."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = top = a[k + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= top * c
     return q
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _square_free(f: list[int]) -> list[int]:
+    """The primitive square-free part of a primitive f of degree >= 1: f over
+    gcd(f, f'), the gcd taken by primitive pseudo-remainders."""
+    a, b = f, [k * c for k, c in enumerate(f)][1:]
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, (_primitive(r) if r else r)
+    return f if len(a) == 1 else _exact_quotient(f, _primitive(a))
+
+
+def _homogeneous(f: list[int], num: int, den: int) -> int:
+    """den^n f(num / den), n = deg f: for den > 0, an integer with the sign of
+    f(num / den)."""
+    acc, power = f[-1], 1
+    for c in reversed(f[:-1]):
+        power *= den
+        acc = acc * num + c * power
+    return acc
+
+
+def _taylor_shift(f: list[int], a: int) -> list[int]:
+    """f(x + a)."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in reversed(range(i, len(f) - 1)):
+            f[j] += a * f[j + 1]
+    return f
+
+
+def _descartes_bound(f: list[int]) -> int:
+    """The sign variations of (x + 1)^n f(1 / (x + 1)): a bound on the roots of
+    f in (0, 1), of the same parity, exact when it reads 0 or 1."""
+    signs = [c > 0 for c in _taylor_shift(f[::-1], 1) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _real_roots(
+    p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]
+) -> tuple[list[Fraction], int]:
+    """p's distinct rational roots strictly inside (lo, hi), sorted, and the
+    number of its distinct irrational roots there; a None end is infinite.
+
+    f is the square-free primitive integer polynomial with p's roots, and a its
+    leading coefficient.  An infinite end becomes a Cauchy bound on the roots
+    of f, and x = lo + (hi - lo) y maps the interval onto 0 < y < 1.  Descartes
+    bisection cuts that into dyadic pieces of one root each (a cut that hits a
+    root records it).  Each piece is halved by sign until it is narrower than
+    1/(2a^2) in x.  Every rational root of f has a denominator dividing a, and
+    two rationals of such denominators lie at least 1/a^2 apart.  So if the
+    piece's root is rational, it is the rational of denominator <= |a| closest
+    to the piece's midpoint (`limit_denominator`, by continued fractions), and
+    one exact test of that candidate decides.
+    """
+    if p.is_zero():
+        raise ValueError("the zero polynomial is identically zero")
+    if p.is_constant():
+        return [], 0
+    f = _square_free(_integer_polynomial(p))
+    n, lead = len(f) - 1, f[-1]
+    bound = 2 + max(abs(c) for c in f[:-1]) // lead
+    lo = Fraction(-bound) if lo is None else lo
+    hi = Fraction(bound) if hi is None else hi
+    if lo >= hi:
+        return [], 0
+    # x = (shift + scale * y) / den
+    width = hi - lo
+    den = lo.denominator * width.denominator
+    shift, scale = lo.numerator * width.denominator, width.numerator * lo.denominator
+    g = _taylor_shift([c * den ** (n - k) for k, c in enumerate(f)], shift)
+    g = _primitive([c * scale**k for k, c in enumerate(g)])
+
+    def point(y: int, depth: int) -> Fraction:
+        """x at y / 2^depth."""
+        return Fraction((shift << depth) + scale * y, den << depth)
+
+    rational: list[Fraction] = []
+    irrational = 0
+    # a node is g on y in (c / 2^depth, (c + 1) / 2^depth), rescaled onto (0, 1)
+    nodes = [(g, 0, 0)]
+    while nodes:
+        h, c, depth = nodes.pop()
+        count = _descartes_bound(h)
+        if count == 0:
+            continue
+        if count > 1:
+            left = [v << (n - k) for k, v in enumerate(h)]
+            right = _taylor_shift(left, 1)
+            if right[0] == 0:
+                rational.append(point(2 * c + 1, depth + 1))
+            nodes += [(left, 2 * c, depth + 1), (right, 2 * c + 1, depth + 1)]
+            continue
+        # One simple root inside.  Divide out a root at the node's left end, so
+        # that the sign there is the sign left of the root.
+        if h[0] == 0:
+            h = h[1:]
+        positive_left = h[0] > 0
+        y, steps = 0, 0
+        while 2 * lead * lead * scale >= den << (depth + steps):
+            y, steps = 2 * y + 1, steps + 1
+            mid = _homogeneous(h, y, 1 << steps)
+            if mid == 0:
+                rational.append(point((c << steps) + y, depth + steps))
+                break
+            if (mid > 0) != positive_left:
+                y -= 1
+        else:
+            y, depth = (c << steps) + y, depth + steps
+            guess = point(2 * y + 1, depth + 1).limit_denominator(lead)
+            inside = point(y, depth) < guess < point(y + 1, depth)
+            if inside and _homogeneous(f, guess.numerator, guess.denominator) == 0:
+                rational.append(guess)
+            else:
+                irrational += 1
+    return sorted(rational), irrational
+
+
+def square_free_part(p: Polynomial) -> Polynomial:
+    """p over gcd(p, p'), with p's leading coefficient."""
+    if p.degree() <= 0:
+        return p
+    f = _square_free(_integer_polynomial(p))
+    return Polynomial(tuple(p.leading() * c / f[-1] for c in f))
 
 
 def rational_roots(p: Polynomial) -> list[Fraction]:
     """All distinct rational roots, sorted."""
     if p.is_zero():
         raise ValueError("the zero polynomial has every rational as a root")
-    if p.degree() == 0:
-        return []
-    coeffs = list(p.coeffs)
-    roots = set()
-    # factor out x^k
-    k = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    if len(coeffs) > 1:
-        denom_lcm = lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * denom_lcm) for c in coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        ints = [v // content for v in ints]
-        reduced = Polynomial.of(*ints)
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * num, den)
-                    if reduced(cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    return _real_roots(p, None, None)[0]
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        _, r = divmod(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()
-    return chain
-
-
-def _sign_at(p: Polynomial, x: Optional[Fraction], plus_infinity: bool) -> int:
-    if p.is_zero():
-        return 0
-    if x is not None:
-        v = p(x)
-        return (v > 0) - (v < 0)
+def _sign_at_infinity(p: Polynomial, plus_infinity: bool) -> int:
+    """The sign of a nonzero p near +inf or -inf."""
     lead = p.leading()
     s = (lead > 0) - (lead < 0)
-    if plus_infinity:
-        return s
-    return s if p.degree() % 2 == 0 else -s
-
-
-def _variations(chain: list[Polynomial], x: Optional[Fraction], plus_infinity: bool) -> int:
-    signs = [s for s in (_sign_at(p, x, plus_infinity) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _root_split(
-    p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]
-) -> tuple[list[Fraction], int]:
-    """p's distinct rational roots, sorted, and the number of its irrational
-    real roots strictly inside (lo, hi), from one square-free pass."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial is identically zero")
-    q = square_free_part(p)
-    roots = rational_roots(q)
-    for r in roots:
-        q, _ = divmod(q, Polynomial.of(-r, 1))
-    if q.degree() <= 0:
-        return roots, 0
-    chain = _sturm_chain(q)
-    # q has no rational roots, so rational endpoints are never roots and the
-    # Sturm count over (lo, hi] equals the open-interval count.
-    count = _variations(chain, lo, plus_infinity=False) - _variations(chain, hi, plus_infinity=True)
-    return roots, count
+    return s if plus_infinity or p.degree() % 2 == 0 else -s
 
 
 def irrational_root_count_open(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
     """Number of distinct irrational real roots of p strictly inside (lo, hi)."""
-    return _root_split(p, lo, hi)[1]
+    return _real_roots(p, lo, hi)[1]
 
 
 def interior_rational_roots(
@@ -267,10 +353,10 @@ def interior_rational_roots(
     Raises ``error("<what> inside <comp>")`` when an irrational root lies
     there, since no exact cut can be made at it.
     """
-    roots, irrational = _root_split(p, comp.lo, comp.hi)
+    roots, irrational = _real_roots(p, comp.lo, comp.hi)
     if irrational:
         raise error(f"{what} inside {format_component(comp)}")
-    return [r for r in roots if _component_holds(Interval(comp.lo, comp.hi), "atom", r)]
+    return roots
 
 
 def split_interval(comp: Interval, cuts: list[Fraction]) -> tuple[list[Point], list[Interval]]:

@@ -336,6 +336,12 @@ def unit_integral_check(f: PiecewisePolyFunction, mu: Measure) -> UnitIntegralRe
     additive mu the implication is a theorem; a violation there is reported as
     an InvariantViolation.  Purely finitely additive mu may genuinely break
     it, which is the point of the check.
+
+    The level set {f = 1} is cut at the rational roots of f - 1.  An
+    irrational one would raise IrrationalRootBoundary, but under 0 <= f <= 1
+    none gets that far: an interior root of f - 1 is a maximum of f, so a
+    critical point, and `check_range` has already raised
+    IrrationalCriticalPoint for an irrational critical point.
     """
     if not mu.is_probability():
         raise ValueError("the measure must be a probability")

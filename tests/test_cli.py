@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -299,3 +300,67 @@ def test_bad_steps_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["trajectory", "interval_squares", "--x0", "1/2", "--steps", "not-a-number"])
     capsys.readouterr()
+
+
+def test_classes_searches_classes_once(monkeypatch, capsys):
+    calls = []
+    search = cli.find_cyclic_classes
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "find_cyclic_classes", counted)
+    monkeypatch.setattr(measurecycles.state_cycles, "find_cyclic_classes", counted)
+    assert main(["classes", "three_state_swap"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def _run_cli(argv, **kwargs):
+    src = str(Path(measurecycles.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from measurecycles.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        **kwargs,
+    )
+
+
+def test_validate_twenty_digit_critical_point_does_not_hang(tmp_path):
+    # p = 1/2 + (x - a)^2 / 4 has its critical point at a, a rational with
+    # 21-digit numerator and denominator: no divisor search may be run on it
+    a = Fraction(10**20 + 7, 10**20 + 9)
+    coeffs = [Fraction(1, 2) + a * a / 4, -a / 2, Fraction(1, 4)]
+    box = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True}
+    path = tmp_path / "parabola.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "parabola",
+                "kind": "deterministic",
+                "space": [box],
+                "pieces": [{"piece": box, "poly_coeffs": [str(c) for c in coeffs]}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    run = _run_cli(["validate", str(path)], capture_output=True, timeout=20)
+    assert run.returncode == 0
+    assert run.stdout.startswith("chain parabola: valid\n")
+    assert run.stderr == ""
+
+
+def test_closed_stdout_exits_with_io_code(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = _run_cli(["cycles", "interval_squares_closed"], stdout=write_end,
+                       stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 3
+    assert "Traceback" not in run.stderr
+    assert "BrokenPipeError" not in run.stderr
+    assert run.stderr.startswith("error: ")

@@ -23,6 +23,7 @@ from measurecycles import (
 )
 from measurecycles import PiecewisePolyFunction, Polynomial
 from measurecycles.errors import (
+    IrrationalCriticalPoint,
     NotCountablyAdditive,
     NotDisjoint,
     NotFiniteChain,
@@ -354,3 +355,11 @@ def test_unit_integral_requires_probability_and_range():
     g = PiecewisePolyFunction.build(space, [(space.components[0], Polynomial.of(0, 1))])
     with pytest.raises(RangeViolation):
         unit_integral_check(g, Measure.dirac(F(1)))
+
+
+def test_unit_integral_irrational_maximum_is_a_critical_point():
+    # f = 3/4 + x^2 - x^4 reaches 1 only at sqrt(1/2), its irrational maximum
+    space = SetExpr.interval(0, 1, True, True)
+    f = PiecewisePolyFunction.build(space, [(space.components[0], Polynomial.of(F(3, 4), 0, 1, 0, -1))])
+    with pytest.raises(IrrationalCriticalPoint):
+        unit_integral_check(f, Measure.dirac(F(1, 2)))
