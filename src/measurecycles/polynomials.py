@@ -6,14 +6,15 @@ irrational ones.  It computes with integers only.  It clears denominators to a
 primitive integer polynomial and takes its square-free part by a primitive
 pseudo-remainder gcd.  Descartes' rule of signs with Vincent–Collins–Akritas
 bisection (integer Taylor shifts; a Cauchy bound for an infinite end) isolates
-the roots.  One exact test of the simplest rational in each narrowed isolating
-interval tells a rational root from an irrational one.
+the roots.  In each narrowed isolating interval, one exact test of the nearest
+rational with denominator at most the leading coefficient tells a rational
+root from an irrational one.
 
 Cost: with n the degree and t the bit size of the cleared coefficients and of
 the interval ends, every step is polynomial in n and t.  The bisection tree
 has O(n(t + log n)) nodes (Eigenwillig, Sharma and Yap 2006), each an O(n^2)
-Taylor shift, and narrowing takes O(n + t) halvings.  No step enumerates
-divisors, so a 40-digit coefficient costs milliseconds, not hours.
+Taylor shift, and narrowing takes O(n + t) halvings.  No step enumerates the
+divisors of a coefficient.
 
 A positive irrational count is exactly the "irrational root in this interval"
 condition the kernel operations must reject; `interior_rational_roots` rejects
@@ -21,6 +22,7 @@ it and returns the rational roots, and `split_interval` is the one splitter
 that cuts an interval at them (images, pulled-back observables and the level
 sets of `unit_integral_check`).
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -155,6 +157,13 @@ def _first_nonzero_derivative(p: Polynomial, x: Fraction) -> tuple[int, Fraction
         k += 1
 
 
+def _sign_at_infinity(p: Polynomial, plus_infinity: bool) -> int:
+    """The sign of a nonzero p near +inf or -inf."""
+    lead = p.leading()
+    s = (lead > 0) - (lead < 0)
+    return s if plus_infinity or p.degree() % 2 == 0 else -s
+
+
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         _, r = divmod(a, b)
@@ -180,6 +189,8 @@ def _integer_polynomial(p: Polynomial) -> list[int]:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of c a by b, for c a power of b's leading coefficient
+    that keeps every step in the integers."""
     a = list(a)
     while len(a) >= len(b):
         shift, top = len(a) - len(b), a[-1]
@@ -331,13 +342,6 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     if p.is_zero():
         raise ValueError("the zero polynomial has every rational as a root")
     return _real_roots(p, None, None)[0]
-
-
-def _sign_at_infinity(p: Polynomial, plus_infinity: bool) -> int:
-    """The sign of a nonzero p near +inf or -inf."""
-    lead = p.leading()
-    s = (lead > 0) - (lead < 0)
-    return s if plus_infinity or p.degree() % 2 == 0 else -s
 
 
 def irrational_root_count_open(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:

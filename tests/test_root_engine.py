@@ -42,7 +42,7 @@ def _random_polynomial(rng, kind):
         for _ in range(rng.randint(1, 5)):
             p = p * Polynomial.of(-_random_rational(rng, rng.randint(1, 6)), 1)
         return p * Polynomial.of(*(_big(rng, 2) for _ in range(rng.randint(1, 3))))
-    # repeated factors, one rational and one irrational pair
+    # a repeated rational root, times x^2 - k and a random quadratic
     r = _random_rational(rng, 5)
     square = Polynomial.of(-r, 1) * Polynomial.of(-r, 1)
     return square * Polynomial.of(-rng.randint(2, 50), 0, 1) * Polynomial.of(*(_big(rng, 3) for _ in range(3)))
