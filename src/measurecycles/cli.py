@@ -44,6 +44,7 @@ from .measures import Measure, is_disjoint
 from .polynomials import Polynomial
 from .rationals import decimal_string, format_rational, parse_rational
 from .state_cycles import (
+    _transient_among,
     find_cyclic_classes,
     measures_from_state_cycle,
     state_cycle_equal,
@@ -193,8 +194,7 @@ def cmd_classes(args, out, err) -> int:
             inner = ", ".join(format_rational(s) for s in sub)
             print(f"  subclass {r}: {{{inner}}}", file=out)
         print(f"  invariant: {info.invariant}", file=out)
-    recurrent = {s for info in infos for s in info.states}
-    leftovers = [s for s in k.states if s not in recurrent]
+    leftovers = _transient_among(k, infos)
     if leftovers:
         print("transient states: " + ", ".join(format_rational(s) for s in leftovers), file=out)
     else:

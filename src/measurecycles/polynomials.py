@@ -164,15 +164,6 @@ def _sign_at_infinity(p: Polynomial, plus_infinity: bool) -> int:
     return s if plus_infinity or p.degree() % 2 == 0 else -s
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading())  # monic
-
-
 # -- the root engine: integer polynomials as ascending coefficient lists ------
 
 

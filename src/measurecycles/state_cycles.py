@@ -221,7 +221,12 @@ def find_cyclic_classes(kernel: Kernel) -> list[RecurrentClassInfo]:
 
 
 def transient_states(kernel: StochasticKernel) -> list[Fraction]:
-    recurrent = {s for info in find_cyclic_classes(kernel) for s in info.states}
+    return _transient_among(kernel, find_cyclic_classes(kernel))
+
+
+def _transient_among(kernel: StochasticKernel, infos: list[RecurrentClassInfo]) -> list[Fraction]:
+    """The states of the chain in none of its recurrent classes `infos`."""
+    recurrent = {s for info in infos for s in info.states}
     return [s for s in kernel.states if s not in recurrent]
 
 
