@@ -364,3 +364,77 @@ def test_closed_stdout_exits_with_io_code(tmp_path):
     assert "Traceback" not in run.stderr
     assert "BrokenPipeError" not in run.stderr
     assert run.stderr.startswith("error: ")
+
+
+SQUARES_CYCLES = """\
+chain interval_squares: 2 cycle(s) with period <= 6
+cycle 1: period 2, purely_finitely_additive
+  coordinate 1: 1*left_limit(1)
+  coordinate 2: 1*left_limit(2)
+  mean: 1/2*left_limit(1) + 1/2*left_limit(2)
+  independent coordinates: yes (rank 2)
+cycle 2: period 2, purely_finitely_additive
+  coordinate 1: 1*right_limit(0)
+  coordinate 2: 1*right_limit(1)
+  mean: 1/2*right_limit(0) + 1/2*right_limit(1)
+  independent coordinates: yes (rank 2)
+"""
+
+CONVEYOR_CYCLES = """\
+chain conveyor5: 2 cycle(s) with period <= 5
+cycle 1: period 5, countably_additive
+  coordinate 1: 1*atom(0)
+  coordinate 2: 1*atom(1)
+  coordinate 3: 1*atom(2)
+  coordinate 4: 1*atom(3)
+  coordinate 5: 1*atom(4)
+  mean: 1/5*atom(0) + 1/5*atom(1) + 1/5*atom(2) + 1/5*atom(3) + 1/5*atom(4)
+  independent coordinates: yes (rank 5)
+cycle 2: period 5, purely_finitely_additive
+  coordinate 1: 1*right_limit(0)
+  coordinate 2: 1*right_limit(1)
+  coordinate 3: 1*right_limit(2)
+  coordinate 4: 1*right_limit(3)
+  coordinate 5: 1*right_limit(4)
+  mean: 1/5*right_limit(0) + 1/5*right_limit(1) + 1/5*right_limit(2) + 1/5*right_limit(3) + 1/5*right_limit(4)
+  independent coordinates: yes (rank 5)
+"""
+
+
+def _conveyor_file(tmp_path) -> str:
+    """Five pieces [i, i+1) on [0, 5), each onto the start of the next; piece
+    1 is the parabola 2 + (x - 1)^2 / 4, so left germs drift through it."""
+    coeffs = [["1", "1/2"], ["9/4", "-1/2", "1/4"], ["7/3", "1/3"], ["1", "1"], ["-1", "1/4"]]
+    path = tmp_path / "conveyor5.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "conveyor5",
+                "kind": "deterministic",
+                "space": [{"lo": "0", "hi": "5", "lo_closed": True, "hi_closed": False}],
+                "pieces": [
+                    {
+                        "piece": {"lo": str(i), "hi": str(i + 1), "lo_closed": True,
+                                  "hi_closed": False},
+                        "poly_coeffs": c,
+                    }
+                    for i, c in enumerate(coeffs)
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_cycles_interval_squares_golden(capsys):
+    assert main(["cycles", "interval_squares"]) == 0
+    assert capsys.readouterr().out == SQUARES_CYCLES
+
+
+def test_conveyor_cycles_and_check_golden(tmp_path, capsys):
+    path = _conveyor_file(tmp_path)
+    assert main(["cycles", "--max-period", "5", path]) == 0
+    assert capsys.readouterr().out == CONVEYOR_CYCLES
+    assert main(["check", "--max-period", "5", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"check {n}: PASS" for n in CHECK_NAMES]
