@@ -94,19 +94,34 @@ class Cycle:
         return "(" + ", ".join(str(m) for m in self.coords) + ")"
 
 
-def find_cycle_from(kernel: Kernel, seed: Measure, max_steps: int) -> Optional[Cycle]:
+def find_cycle_from(
+    kernel: Kernel,
+    seed: Measure,
+    max_steps: int,
+    images: Optional[dict[Measure, Measure]] = None,
+) -> Optional[Cycle]:
     """Push the seed until an exact repeat closes a cycle; return that cycle
-    already in canonical rotation, or None if none closes within max_steps."""
+    already in canonical rotation, or None if none closes within max_steps or
+    a push leaves the space.
+
+    `images` maps measures to their pushes under this kernel.  It is read
+    before each push and extended after it, so calls that share one table
+    push each measure at most once between them.
+    """
+    images = {} if images is None else images
     seen: dict[Measure, int] = {}  # the orbit so far, in order, with positions
     current = seed
     for _ in range(max_steps + 1):
         if current in seen:
             return Cycle(kernel, _least_rotation(tuple(seen)[seen[current]:]))
         seen[current] = len(seen)
-        try:
-            current = kernel.push_measure(current)
-        except MeasureChainError:
-            return None
+        image = images.get(current)
+        if image is None:
+            try:
+                image = images[current] = kernel.push_measure(current)
+            except MeasureChainError:
+                return None
+        current = image
     return None
 
 
@@ -128,7 +143,11 @@ def _serial_key(coords: tuple[Measure, ...]) -> tuple[str, ...]:
 
 
 def _least_rotation(coords: tuple[Measure, ...]) -> tuple[Measure, ...]:
-    return min(_rotations(coords), key=_serial_key)
+    """The rotation with the least `_serial_key`; each coordinate is
+    serialized once."""
+    keys = _serial_key(coords)
+    r = min(range(len(coords)), key=lambda r: keys[r:] + keys[:r])
+    return coords[r:] + coords[:r]
 
 
 def canonical_rotation(cycle: Cycle) -> Cycle:
@@ -305,16 +324,24 @@ def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
     is the period-2 cycle (pi_0 + pi_2, pi_1 + pi_3) of a period-4 class.
     Piecewise kernels: the distinct cycles that close within 4m+8 pushes,
     m = max_period, from a boundary seed of `canonical_seeds`; cycles that no
-    such seed reaches are not listed.
+    such seed reaches are not listed.  Each seed runs through
+    `find_cycle_from`, and all of them share one image table that lives for
+    this call only: a seed that enters an orbit another seed has walked reads
+    the images there instead of pushing again.  Every cycle returned is still
+    verified with fresh pushes when it is built.
     """
     if isinstance(kernel, StochasticKernel):
         cycles = (
             Cycle(kernel, _least_rotation(c)) for c in _class_cycles(kernel) if len(c) <= max_period
         )
     else:
-        cycles = (find_cycle_from(kernel, s, 4 * max_period + 8) for s in canonical_seeds(kernel))
-    found: dict[tuple[str, ...], Cycle] = {}
+        images: dict[Measure, Measure] = {}
+        cycles = (
+            find_cycle_from(kernel, s, 4 * max_period + 8, images) for s in canonical_seeds(kernel)
+        )
+    # canonical rotations are equal exactly when their serial keys are
+    found: dict[tuple[Measure, ...], Cycle] = {}
     for cycle in cycles:
         if cycle is not None and cycle.period <= max_period:
-            found.setdefault(_serial_key(cycle.coords), cycle)
-    return [found[key] for key in sorted(found, key=lambda k: (len(k), k))]
+            found.setdefault(cycle.coords, cycle)
+    return sorted(found.values(), key=lambda c: (c.period, _serial_key(c.coords)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import (
     AmbiguousPiece,
@@ -43,10 +44,21 @@ from .sets import Component, Point, SetExpr, _component_cuts, format_component
 
 
 def _push_measure(kernel: Kernel, mu: Measure) -> Measure:
-    """Pushforward of a measure: one pass over its generators' images."""
+    """Pushforward of a measure: one pass over its generators' images, or
+    the one image itself when mu is a unit generator."""
+    if len(mu.terms) == 1 and mu.terms[0][1] == 1:
+        return kernel.push_generator(mu.terms[0][0])
     return Measure.from_terms(
         (g, coeff * c) for gen, coeff in mu.terms for g, c in kernel.push_generator(gen).terms
     )
+
+
+_ONE = Fraction(1)
+
+
+def _unit(kind: GeneratorKind, location: Optional[Fraction] = None) -> Measure:
+    """The measure 1*kind(location), already in canonical form."""
+    return Measure(((Generator(kind, location), _ONE),))
 
 
 @dataclass(frozen=True)
@@ -83,13 +95,10 @@ class DeterministicKernel(PiecewisePolyFunction):
         return Fraction(1) if E.contains_point(self.map_point(x)) else Fraction(0)
 
     def _germ(self, side: GeneratorKind, location: Fraction) -> Measure:
-        if side is GeneratorKind.RIGHT_LIMIT:
-            if not self.space.contains_right_neighborhood(location):
-                raise GermOutsideSpace(f"no right neighborhood of {location} in the space")
-            return Measure.right_germ(location)
-        if not self.space.contains_left_neighborhood(location):
-            raise GermOutsideSpace(f"no left neighborhood of {location} in the space")
-        return Measure.left_germ(location)
+        if not self.space.contains(side.value, location):
+            where = "right" if side is GeneratorKind.RIGHT_LIMIT else "left"
+            raise GermOutsideSpace(f"no {where} neighborhood of {location} in the space")
+        return _unit(side, location)
 
     def _push_finite_germ(self, gen: Generator) -> Measure:
         x = gen.location
@@ -97,7 +106,7 @@ class DeterministicKernel(PiecewisePolyFunction):
         _, poly = self.piece(gen.kind.value, x)
         limit = poly(x)
         if poly.is_constant():
-            return Measure.dirac(limit)
+            return _unit(GeneratorKind.ATOM, limit)
         order, value = _first_nonzero_derivative(poly, x)
         # Mass approaches from t = x + s (right germ) or t = x - s (left germ),
         # s -> 0+; the image sits on the side of poly(x) given by the sign of
@@ -110,19 +119,19 @@ class DeterministicKernel(PiecewisePolyFunction):
         at_plus = gen.kind is GeneratorKind.PLUS_INFINITY
         _, poly = self.piece(gen.kind.value)
         if poly.is_constant():
-            return Measure.dirac(poly(Fraction(0)))
+            return _unit(GeneratorKind.ATOM, poly(Fraction(0)))
         if _sign_at_infinity(poly, at_plus) > 0:
             if not self.space.contains_plus_tail():
                 raise GermOutsideSpace("the image escapes to +infinity outside the space")
-            return Measure.at_plus_infinity()
+            return _unit(GeneratorKind.PLUS_INFINITY)
         if not self.space.contains_minus_tail():
             raise GermOutsideSpace("the image escapes to -infinity outside the space")
-        return Measure.at_minus_infinity()
+        return _unit(GeneratorKind.MINUS_INFINITY)
 
     def push_generator(self, gen: Generator) -> Measure:
         kind = gen.kind
         if kind is GeneratorKind.ATOM:
-            return Measure.dirac(self.map_point(gen.location))
+            return _unit(kind, self.map_point(gen.location))
         if kind in (GeneratorKind.RIGHT_LIMIT, GeneratorKind.LEFT_LIMIT):
             return self._push_finite_germ(gen)
         return self._push_infinity(gen)

@@ -1,5 +1,12 @@
 """Polynomials with rational coefficients, plus the exact root engine.
 
+Evaluation runs on integers.  A polynomial clears its coefficients
+to integer numerators over one common denominator D once, the first time it
+is evaluated, and keeps them.  p(u / v) is then Horner's rule over the
+integers on v^n D p(u / v), and one Fraction is built at the end.  The
+derivatives that `_first_nonzero_derivative` reads are likewise built once
+per polynomial.
+
 One engine, `_real_roots`, finds the roots of p on an open interval whose ends
 may be infinite: the sorted rational roots strictly inside, and the number of
 irrational ones.  It computes with integers only.  It clears denominators to a
@@ -27,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import IrrationalCriticalPoint
 from .rationals import format_rational, parse_rational
@@ -66,11 +74,29 @@ class Polynomial:
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """(a_0, ..., a_n), D with coefficient k equal to a_k / D."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+
+    @cached_property
+    def _derivatives(self) -> tuple["Polynomial", ...]:
+        """p', p'', ..., down to the last nonzero derivative."""
+        out, d = [], self.derivative()
+        while not d.is_zero():
+            out.append(d)
+            d = d.derivative()
+        return tuple(out)
+
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) for a rational x = u / v: Horner over the integers on
+        v^n D p(u / v), then one Fraction."""
+        nums, den = self._numerators
+        if not nums:
+            return Fraction(0)
+        v = x.denominator
+        return Fraction(_homogeneous(nums, x.numerator, v), den * v ** (len(nums) - 1))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -145,16 +171,13 @@ class Polynomial:
 def _first_nonzero_derivative(p: Polynomial, x: Fraction) -> tuple[int, Fraction]:
     """(k, p^(k)(x)) for the smallest k >= 1 with a nonzero derivative.
 
-    Requires a non-constant polynomial.
+    Raises ValueError on a constant polynomial, which has none.
     """
-    d = p.derivative()
-    k = 1
-    while True:
+    for k, d in enumerate(p._derivatives, 1):
         v = d(x)
         if v != 0:
             return k, v
-        d = d.derivative()
-        k += 1
+    raise ValueError(f"the constant polynomial {p} has no nonzero derivative")
 
 
 def _sign_at_infinity(p: Polynomial, plus_infinity: bool) -> int:
@@ -175,8 +198,7 @@ def _primitive(f: list[int]) -> list[int]:
 
 def _integer_polynomial(p: Polynomial) -> list[int]:
     """The primitive integer multiple of a nonzero p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(list(p._numerators[0]))
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -214,7 +236,7 @@ def _square_free(f: list[int]) -> list[int]:
     return f if len(a) == 1 else _exact_quotient(f, _primitive(a))
 
 
-def _homogeneous(f: list[int], num: int, den: int) -> int:
+def _homogeneous(f: Sequence[int], num: int, den: int) -> int:
     """den^n f(num / den), n = deg f: for den > 0, an integer with the sign of
     f(num / den)."""
     acc, power = f[-1], 1

@@ -15,10 +15,11 @@ canonical sets are, and piecewise functions check it when they are built.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .rationals import format_rational, parse_rational
@@ -140,17 +141,40 @@ def _component_cuts(comp: Component) -> Iterator[Fraction]:
             yield comp.hi
 
 
-def _elementary_pieces(comps: Iterable[Component]) -> list[tuple[str, Optional[Fraction]]]:
-    """Cut the line at every endpoint and point of the components.
+def _elementary_pieces(cuts: list[Fraction]) -> list[tuple[str, Optional[Fraction]]]:
+    """Cut the line at the sorted cuts.
 
     Each piece is given, in line order, by a generator only it holds: the atom
     for a cut, the right germ at the previous cut (or the minus tail) for a gap.
+    So piece 0 is the gap before the first cut, and cut j is piece 2j + 1
+    with its right gap at 2j + 2.
     """
     pieces: list[tuple[str, Optional[Fraction]]] = [("minus_infinity", None)]
-    for c in sorted({c for comp in comps for c in _component_cuts(comp)}):
+    for c in cuts:
         pieces.append(("atom", c))
         pieces.append(("right_limit", c))
     return pieces
+
+
+def _cuts(comps: Iterable[Component]) -> list[Fraction]:
+    return sorted({c for comp in comps for c in _component_cuts(comp)})
+
+
+def _piece_run(comp: Component, cuts: list[Fraction]) -> tuple[int, int]:
+    """The first and last of the `_elementary_pieces(cuts)` that a component
+    covers, for cuts that include its ends."""
+    if isinstance(comp, Point):
+        j = 2 * bisect_left(cuts, comp.value) + 1
+        return j, j
+    if comp.lo is None:
+        first = 0
+    else:
+        first = 2 * bisect_left(cuts, comp.lo) + (1 if comp.lo_closed else 2)
+    if comp.hi is None:
+        last = 2 * len(cuts)
+    else:
+        last = 2 * bisect_left(cuts, comp.hi) + (1 if comp.hi_closed else 0)
+    return first, last
 
 
 def _assemble(pieces: list[tuple[str, Optional[Fraction]]], flags: list[bool]) -> tuple[Component, ...]:
@@ -206,14 +230,20 @@ class SetExpr:
     def from_components(components: Iterable[Component]) -> "SetExpr":
         """Union of arbitrary (possibly overlapping) components, canonicalized."""
         comps = tuple(components)
-        pieces = _elementary_pieces(comps)
-        flags = [any(_component_holds(c, k, x) for c in comps) for k, x in pieces]
-        return SetExpr(_assemble(pieces, flags))
+        cuts = _cuts(comps)
+        # +1 where a component's run of pieces starts, -1 just past its end
+        depth = [0] * (2 * len(cuts) + 2)
+        for comp in comps:
+            first, last = _piece_run(comp, cuts)
+            depth[first] += 1
+            depth[last + 1] -= 1
+        flags = [d > 0 for d in accumulate(depth[:-1])]
+        return SetExpr(_assemble(_elementary_pieces(cuts), flags))
 
     # -- boolean algebra ---------------------------------------------------
 
     def _combine(self, other: "SetExpr", op) -> "SetExpr":
-        pieces = _elementary_pieces(self.components + other.components)
+        pieces = _elementary_pieces(_cuts(self.components + other.components))
         a, b = self._partition, other._partition
         flags = [op(a.find(k, x) is not None, b.find(k, x) is not None) for k, x in pieces]
         return SetExpr(_assemble(pieces, flags))

@@ -6,7 +6,11 @@ import pytest
 from measurecycles import (
     Cycle,
     CycleKind,
+    DeterministicKernel,
+    Interval,
     Measure,
+    Polynomial,
+    SetExpr,
     StochasticKernel,
     canonical_rotation,
     canonical_seeds,
@@ -22,6 +26,7 @@ from measurecycles import (
     measure_rank,
     verify_cycle,
 )
+from measurecycles.cycles import _least_rotation, _rotations, _serial_key
 from measurecycles.errors import NotACycle, PeriodMismatch
 from support import (
     conveyor_kernel,
@@ -179,6 +184,61 @@ def test_class_cycles_span_every_closed_atom_seed():
         bound = rng.randint(1, n)
         periods = sorted(info.period for info in classes if info.period <= bound)
         assert sorted(c.period for c in enumerate_cycles(k, bound)) == periods
+
+
+def untabled_cycles(kernel, max_period):
+    """The piecewise search without a shared image table: one fresh
+    `find_cycle_from` per seed, deduplicated on the serial key."""
+    found = {}
+    for seed in canonical_seeds(kernel):
+        cycle = find_cycle_from(kernel, seed, 4 * max_period + 8)
+        if cycle is not None and cycle.period <= max_period:
+            found.setdefault(_serial_key(cycle.coords), cycle)
+    return [found[key] for key in sorted(found, key=lambda k: (len(k), k))]
+
+
+def reflection_kernel():
+    """x -> 1 - x on [0, 1]."""
+    unit = Interval(F(0), F(1), True, True)
+    return DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, -1)),))
+
+
+def test_shared_image_table_finds_the_untabled_cycles():
+    rng = random.Random(808)
+    # at most one quadratic piece: a left germ that passes a quadratic piece
+    # doubles its location's bit length, over a budget of 4m+8 pushes
+    conveyors = [conveyor_kernel(rng, 5) for _ in range(40)]
+    conveyors = [k for k in conveyors if sum(p.degree() == 2 for _, p in k.pieces) <= 1]
+    assert len(conveyors) >= 10
+    bundled = [load_bundled(name).kernel for name in ["interval_squares", "interval_squares_closed"]]
+    for k in conveyors + bundled + [reflection_kernel()]:
+        for m in sorted({1, 2, len(k.pieces)}):
+            got = enumerate_cycles(k, m)
+            assert [c.coords for c in got] == [c.coords for c in untabled_cycles(k, m)]
+    assert [c.coords for c in enumerate_cycles(reflection_kernel(), 6)] == [
+        (Measure.dirac(F(0)), Measure.dirac(F(1))),
+        (Measure.left_germ(F(1)), Measure.right_germ(F(0))),
+    ]
+
+
+def test_find_cycle_from_reads_and_extends_the_table():
+    k = closed_kernel()
+    images = {}
+    first = find_cycle_from(k, Measure.right_germ(F(1)), 16, images)
+    assert first.coords == (Measure.right_germ(F(0)), Measure.right_germ(F(1)))
+    assert images and all(k.push_measure(m) == image for m, image in images.items())
+    walked = dict(images)
+    # a seed inside the walked orbit pushes nothing new
+    assert find_cycle_from(k, Measure.right_germ(F(0)), 16, images) == first
+    assert images == walked
+
+
+def test_least_rotation_is_the_least_serialized_rotation():
+    rng = random.Random(909)
+    pool = [Measure.dirac(F(i, 2)) for i in range(4)] + [Measure.right_germ(F(1)) * F(2, 3)]
+    for _ in range(300):
+        coords = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        assert _least_rotation(coords) == min(_rotations(coords), key=_serial_key)
 
 
 def test_canonical_seeds_cover_space_features():

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from measurecycles import Interval, Point, Polynomial, SetExpr
 from measurecycles.errors import IrrationalCriticalPoint
 from measurecycles.polynomials import (
+    _first_nonzero_derivative,
     irrational_root_count_open,
     polynomial_image,
     rational_roots,
@@ -136,3 +137,50 @@ def test_image_contains_every_sample_value(p, a, b):
         return
     for t in [lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3]:
         assert img.contains_point(p(t))
+
+
+def fraction_horner(p: Polynomial, x) -> Fraction:
+    """Evaluation with one Fraction operation per coefficient."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+big = st.integers(-(10**40), 10**40)
+big_coeff = st.one_of(big, st.builds(F, big, st.integers(1, 10**40)))
+big_polys = st.lists(big_coeff, max_size=9).map(lambda cs: Polynomial.of(*cs))
+eval_points = st.one_of(st.integers(-(10**6), 10**6), st.builds(F, big, st.integers(1, 10**12)))
+
+
+@given(big_polys, eval_points)
+@example(Polynomial(()), 3)
+@example(Polynomial(()), F(1, 3))
+@example(Polynomial.of(F(7, 3)), 0)
+@example(Polynomial.of(0, 0, 0, 0, 0, 0, 0, 0, F(1, 10**40)), F(-(10**40), 3))
+def test_integer_evaluation_matches_fraction_horner(p, x):
+    got = p(x)
+    assert type(got) is Fraction
+    assert got == fraction_horner(p, x)
+
+
+@given(polys, points)
+def test_first_nonzero_derivative_is_the_lowest_nonzero_one(p, x):
+    if p.is_constant():
+        with pytest.raises(ValueError):
+            _first_nonzero_derivative(p, x)
+        return
+    k, v = _first_nonzero_derivative(p, x)
+    d = p
+    for j in range(1, k + 1):
+        d = d.derivative()
+        assert (d(x) == 0) == (j < k)
+    assert v == d(x)
+
+
+def test_first_nonzero_derivative_of_a_constant_raises():
+    for p in [Polynomial.constant(5), Polynomial(())]:
+        with pytest.raises(ValueError, match="no nonzero derivative"):
+            _first_nonzero_derivative(p, F(1, 2))
+    # (x - 1)^3: the first two derivatives vanish at 1
+    assert _first_nonzero_derivative(Polynomial.of(-1, 3, -3, 1), F(1)) == (3, F(6))

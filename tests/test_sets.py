@@ -5,7 +5,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from measurecycles import Interval, Point, SetExpr
-from measurecycles.sets import Partition, format_component
+from measurecycles.sets import (
+    Partition,
+    _assemble,
+    _component_holds,
+    _component_cuts,
+    _elementary_pieces,
+    format_component,
+)
 
 F = Fraction
 
@@ -133,6 +140,24 @@ def test_canonicalization_idempotent(a):
     again = SetExpr.from_components(a.components)
     assert again == a
     assert again.components == a.components
+
+
+def pairwise_union(comps) -> SetExpr:
+    """The definition of `SetExpr.from_components`: an elementary piece is in
+    the union iff some component holds it, tested piece by component."""
+    pieces = _elementary_pieces(sorted({c for comp in comps for c in _component_cuts(comp)}))
+    flags = [any(_component_holds(c, k, x) for c in comps) for k, x in pieces]
+    return SetExpr(_assemble(pieces, flags))
+
+
+@given(st.lists(components(), max_size=8))
+@example([])
+@example([Interval(None, None)])
+@example([Interval(F(0), F(1)), Point(F(1)), Interval(F(1), F(2), False, True)])
+@example([Interval(None, F(0), False, True), Interval(F(-1), F(3)), Point(F(3))])
+def test_from_components_matches_pairwise_definition(comps):
+    got = SetExpr.from_components(comps)
+    assert got.components == pairwise_union(comps).components
 
 
 @given(set_exprs)
