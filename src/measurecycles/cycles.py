@@ -95,10 +95,7 @@ class Cycle:
 
 
 def find_cycle_from(
-    kernel: Kernel,
-    seed: Measure,
-    max_steps: int,
-    images: Optional[dict[Measure, Measure]] = None,
+    kernel: Kernel, seed: Measure, max_steps: int, images: Optional[dict[Measure, Measure]] = None
 ) -> Optional[Cycle]:
     """Push the seed until an exact repeat closes a cycle; return that cycle
     already in canonical rotation, or None if none closes within max_steps or

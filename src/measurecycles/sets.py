@@ -166,14 +166,9 @@ def _piece_run(comp: Component, cuts: list[Fraction]) -> tuple[int, int]:
     if isinstance(comp, Point):
         j = 2 * bisect_left(cuts, comp.value) + 1
         return j, j
-    if comp.lo is None:
-        first = 0
-    else:
-        first = 2 * bisect_left(cuts, comp.lo) + (1 if comp.lo_closed else 2)
-    if comp.hi is None:
-        last = 2 * len(cuts)
-    else:
-        last = 2 * bisect_left(cuts, comp.hi) + (1 if comp.hi_closed else 0)
+    lo, hi = comp.lo, comp.hi
+    first = 0 if lo is None else 2 * bisect_left(cuts, lo) + (1 if comp.lo_closed else 2)
+    last = 2 * len(cuts) if hi is None else 2 * bisect_left(cuts, hi) + (1 if comp.hi_closed else 0)
     return first, last
 
 

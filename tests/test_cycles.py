@@ -231,6 +231,10 @@ def test_find_cycle_from_reads_and_extends_the_table():
     # a seed inside the walked orbit pushes nothing new
     assert find_cycle_from(k, Measure.right_germ(F(0)), 16, images) == first
     assert images == walked
+    # the search reads the table, but the cycle it closes is verified by pushing
+    wrong = {Measure.right_germ(F(0)): Measure.right_germ(F(0))}
+    with pytest.raises(NotACycle):
+        find_cycle_from(k, Measure.right_germ(F(0)), 16, wrong)
 
 
 def test_least_rotation_is_the_least_serialized_rotation():
