@@ -95,8 +95,8 @@ class Polynomial:
         nums, den = self._numerators
         if not nums:
             return Fraction(0)
-        v = x.denominator
-        return Fraction(_homogeneous(nums, x.numerator, v), den * v ** (len(nums) - 1))
+        value, power = _homogeneous(nums, x.numerator, x.denominator)
+        return Fraction(value, den * power)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -236,14 +236,14 @@ def _square_free(f: list[int]) -> list[int]:
     return f if len(a) == 1 else _exact_quotient(f, _primitive(a))
 
 
-def _homogeneous(f: Sequence[int], num: int, den: int) -> int:
-    """den^n f(num / den), n = deg f: for den > 0, an integer with the sign of
-    f(num / den)."""
+def _homogeneous(f: Sequence[int], num: int, den: int) -> tuple[int, int]:
+    """(den^n f(num / den), den^n), n = deg f: for den > 0, the first is an
+    integer with the sign of f(num / den)."""
     acc, power = f[-1], 1
     for c in reversed(f[:-1]):
         power *= den
         acc = acc * num + c * power
-    return acc
+    return acc, power
 
 
 def _taylor_shift(f: list[int], a: int) -> list[int]:
@@ -325,7 +325,7 @@ def _real_roots(
         y, steps = 0, 0
         while 2 * lead * lead * scale >= den << (depth + steps):
             y, steps = 2 * y + 1, steps + 1
-            mid = _homogeneous(h, y, 1 << steps)
+            mid, _ = _homogeneous(h, y, 1 << steps)
             if mid == 0:
                 rational.append(point((c << steps) + y, depth + steps))
                 break
@@ -335,7 +335,7 @@ def _real_roots(
             y, depth = (c << steps) + y, depth + steps
             guess = point(2 * y + 1, depth + 1).limit_denominator(lead)
             inside = point(y, depth) < guess < point(y + 1, depth)
-            if inside and _homogeneous(f, guess.numerator, guess.denominator) == 0:
+            if inside and _homogeneous(f, guess.numerator, guess.denominator)[0] == 0:
                 rational.append(guess)
             else:
                 irrational += 1
