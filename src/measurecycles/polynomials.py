@@ -1,11 +1,10 @@
 """Polynomials with rational coefficients, plus the exact root engine.
 
-Evaluation runs on integers.  A polynomial clears its coefficients
-to integer numerators over one common denominator D once, the first time it
-is evaluated, and keeps them.  p(u / v) is then Horner's rule over the
-integers on v^n D p(u / v), and one Fraction is built at the end.  The
-derivatives that `_first_nonzero_derivative` reads are likewise built once
-per polynomial.
+Evaluation runs on integers.  Each polynomial clears its coefficients to
+integer numerators over one common denominator D once, and keeps them.
+p(u / v) is then Horner's rule over the integers on v^n D p(u / v), and one
+Fraction is built at the end.  The derivatives that
+`_first_nonzero_derivative` reads are likewise built once per polynomial.
 
 One engine, `_real_roots`, finds the roots of p on an open interval whose ends
 may be infinite: the sorted rational roots strictly inside, and the number of
