@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Optional
 
 from . import chainspec
@@ -237,20 +238,20 @@ def _function_battery(spec: ChainSpec) -> list[PiecewisePolyFunction]:
     return fs
 
 
-def _once(compute: Callable):
-    """A thunk that runs compute() on its first call only; every call returns
-    its value, or raises its MeasureChainError, again."""
-    memo: list = []
+def _memo(compute: Callable):
+    """compute, run once per distinct argument tuple: every later call with
+    the same arguments returns its value, or raises its MeasureChainError, again."""
+    memo: dict = {}
 
-    def get():
-        if not memo:
+    def get(*args):
+        if args not in memo:
             try:
-                memo.append(compute())
+                memo[args] = compute(*args)
             except MeasureChainError as e:
-                memo.append(e)
-        if isinstance(memo[0], MeasureChainError):
-            raise memo[0]
-        return memo[0]
+                memo[args] = e
+        if isinstance(memo[args], MeasureChainError):
+            raise memo[args]
+        return memo[args]
 
     return get
 
@@ -274,10 +275,10 @@ def _check_duality(spec: ChainSpec, cycles, battery):
             tf = k.pull_function(f)
         except MeasureChainError:
             continue
-        for mu in battery():
+        for mu, pushed in battery():
             try:
                 lhs = integrate(tf, mu)
-                rhs = integrate(f, k.push_measure(mu))
+                rhs = integrate(f, pushed())
             except MeasureChainError:
                 continue
             if lhs != rhs:
@@ -289,12 +290,10 @@ def _check_duality(spec: ChainSpec, cycles, battery):
 
 
 def _check_isometry(spec: ChainSpec, cycles, battery):
-    k = spec.kernel
-    for mu in battery():
+    for mu, pushed in battery():
         if not mu.is_nonnegative():
             continue
-        pushed = k.push_measure(mu)
-        if pushed.norm() != mu.norm():
+        if pushed().norm() != mu.norm():
             return False, f"norm changes at {mu}"
     return True, ""
 
@@ -385,9 +384,11 @@ def cmd_check(args, out, err) -> int:
     spec, code = _load_spec(args.chain, err)
     if spec is None:
         return code
-    # the cycle search and the measure battery run once, on first use
-    cycles = _once(lambda: enumerate_cycles(spec.kernel, args.max_period))
-    battery = _once(lambda: _measure_battery(spec))
+    # the cycle search, the measure battery and each battery measure's push
+    # run once, on first use
+    cycles = _memo(lambda: enumerate_cycles(spec.kernel, args.max_period))
+    push = _memo(spec.kernel.push_measure)
+    battery = _memo(lambda: [(mu, partial(push, mu)) for mu in _measure_battery(spec)])
     failures = 0
     for name, fn in _CHECKS:
         try:
@@ -402,7 +403,9 @@ def cmd_check(args, out, err) -> int:
     return EXIT_CHECK if failures else EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="measurecycles",
         description="Exact cycles of finitely additive measures for Markov chains.",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .rationals import format_rational, parse_rational
@@ -102,6 +103,20 @@ class Measure:
     """Canonical form: terms sorted by generator, zero coefficients dropped."""
 
     terms: tuple[tuple[Generator, Fraction], ...] = ()
+
+    # Searches hash a measure again at every dict or set lookup, and
+    # Fraction.__hash__ is a modular inverse per coefficient: hash once.  The
+    # cache stays out of pickled state, because enum hashes differ between
+    # processes.
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.terms)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"terms": self.terms}
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Generator, Fraction]]) -> "Measure":

@@ -10,7 +10,7 @@ import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(value) -> Fraction:
@@ -25,11 +25,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(value.strip())
+        if not match:
             raise ValueError(f"not a rational: {value!r}")
+        num, den = match.groups()
         try:
-            return Fraction(text)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")

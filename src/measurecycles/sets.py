@@ -172,6 +172,18 @@ def _piece_run(comp: Component, cuts: list[Fraction]) -> tuple[int, int]:
     return first, last
 
 
+def _piece_flags(comps: Iterable[Component], cuts: list[Fraction]) -> list[bool]:
+    """Which of the `_elementary_pieces(cuts)` the components cover, for cuts
+    that include all their ends: a difference array marks +1 where a
+    component's run of pieces starts and -1 just past its end."""
+    depth = [0] * (2 * len(cuts) + 2)
+    for comp in comps:
+        first, last = _piece_run(comp, cuts)
+        depth[first] += 1
+        depth[last + 1] -= 1
+    return [d > 0 for d in accumulate(depth[:-1])]
+
+
 def _assemble(pieces: list[tuple[str, Optional[Fraction]]], flags: list[bool]) -> tuple[Component, ...]:
     """Rebuild canonical components from elementary-piece membership flags."""
     comps: list[Component] = []
@@ -226,22 +238,14 @@ class SetExpr:
         """Union of arbitrary (possibly overlapping) components, canonicalized."""
         comps = tuple(components)
         cuts = _cuts(comps)
-        # +1 where a component's run of pieces starts, -1 just past its end
-        depth = [0] * (2 * len(cuts) + 2)
-        for comp in comps:
-            first, last = _piece_run(comp, cuts)
-            depth[first] += 1
-            depth[last + 1] -= 1
-        flags = [d > 0 for d in accumulate(depth[:-1])]
-        return SetExpr(_assemble(_elementary_pieces(cuts), flags))
+        return SetExpr(_assemble(_elementary_pieces(cuts), _piece_flags(comps, cuts)))
 
     # -- boolean algebra ---------------------------------------------------
 
     def _combine(self, other: "SetExpr", op) -> "SetExpr":
-        pieces = _elementary_pieces(_cuts(self.components + other.components))
-        a, b = self._partition, other._partition
-        flags = [op(a.find(k, x) is not None, b.find(k, x) is not None) for k, x in pieces]
-        return SetExpr(_assemble(pieces, flags))
+        cuts = _cuts(self.components + other.components)
+        a, b = _piece_flags(self.components, cuts), _piece_flags(other.components, cuts)
+        return SetExpr(_assemble(_elementary_pieces(cuts), list(map(op, a, b))))
 
     def __or__(self, other: "SetExpr") -> "SetExpr":
         return self._combine(other, lambda a, b: a or b)

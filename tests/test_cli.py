@@ -11,6 +11,8 @@ import measurecycles
 from measurecycles import cli
 from measurecycles.cli import main
 from measurecycles.errors import InvariantViolation
+from measurecycles.kernels import StochasticKernel
+from measurecycles.measures import Measure
 
 SWAP_VALIDATE = """\
 chain three_state_swap: valid
@@ -438,3 +440,48 @@ def test_conveyor_cycles_and_check_golden(tmp_path, capsys):
     assert capsys.readouterr().out == CONVEYOR_CYCLES
     assert main(["check", "--max-period", "5", path]) == 0
     assert capsys.readouterr().out.splitlines() == [f"check {n}: PASS" for n in CHECK_NAMES]
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_keeps_no_options_between_calls(capsys):
+    assert main(["cycles", "three_state_swap", "--max-period", "1"]) == 0
+    assert capsys.readouterr().out.startswith("chain three_state_swap: 1 cycle(s) with period <= 1\n")
+    assert main(["cycles", "three_state_swap"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"chain three_state_swap: 2 cycle(s) with period <= {cli.DEFAULT_MAX_PERIOD}\n"
+    )
+    assert cli.DEFAULT_MAX_PERIOD == 6
+
+
+def test_reused_parser_recovers_from_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["cycles"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", "three_state_swap"]) == 0
+    assert capsys.readouterr().out == SWAP_VALIDATE
+
+
+def test_check_pushes_each_battery_measure_once(monkeypatch, capsys):
+    # the battery's mixture atom(1) + 1/2 atom(2) is in no cycle, so only
+    # duality and isometry push it; duality skips it, isometry fails on it
+    mixture = Measure.dirac(1) + Measure.dirac(2, Fraction(1, 2))
+    push = StochasticKernel.push_measure
+    calls = []
+
+    def raising(self, mu):
+        if mu == mixture:
+            calls.append(mu)
+            raise InvariantViolation("push broke")
+        return push(self, mu)
+
+    monkeypatch.setattr(StochasticKernel, "push_measure", raising)
+    assert main(["check", "three_state_swap"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"check {n}: FAIL (push broke)" if n == "isometry" else f"check {n}: PASS"
+        for n in CHECK_NAMES
+    ]
+    assert len(calls) == 1

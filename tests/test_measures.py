@@ -1,11 +1,19 @@
+import copy
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import measurecycles
 from measurecycles import (
     Generator,
     GeneratorKind,
@@ -260,3 +268,59 @@ def test_from_json_rejects_bad_terms():
         Measure.from_json_obj(
             {"terms": [{"kind": "plus_infinity", "location": "0", "coefficient": "1"}]}
         )
+
+
+# -- the cached hash ----------------------------------------------------------------
+
+
+@given(st.lists(st.tuples(generators(), signed_coeffs), max_size=5), st.randoms())
+def test_equal_measures_built_by_different_routes_hash_equal(pairs, rnd):
+    m = Measure.from_terms(pairs)
+    shuffled = list(pairs)
+    rnd.shuffle(shuffled)
+    other = Measure.from_terms(pairs[:1])
+    for built in [Measure.from_terms(shuffled), m + other - other, m * 1, 1 * m]:
+        assert built == m
+        assert hash(built) == hash(m)
+
+
+def test_dirac_times_one_hashes_like_dirac():
+    for x in [0, "1/2", -3]:
+        assert hash(Measure.dirac(x) * 1) == hash(Measure.dirac(x))
+        assert hash(Measure.dirac(x, 2) * F(1, 2)) == hash(Measure.dirac(x))
+
+
+@given(signed_measures)
+def test_hashing_changes_no_observable_field(m):
+    before = (repr(m), m.to_json_obj(), dataclasses.fields(m))
+    twin = Measure(m.terms)
+    hash(m)
+    assert (repr(m), m.to_json_obj(), dataclasses.fields(m)) == before
+    assert m == twin and twin == m
+    for copied in [copy.copy(m), copy.deepcopy(m), dataclasses.replace(m)]:
+        assert copied == m
+        assert hash(copied) == hash(m)
+
+
+def test_unpickled_measure_hashes_in_a_new_process():
+    # generator hashes come from enum names, whose string hashes differ
+    # between processes, so a hash cached before pickling would be stale
+    m = Measure.dirac(1) + Measure.right_germ(F(1, 2), 3) + Measure.at_plus_infinity()
+    hash(m)
+    script = (
+        "import pickle, sys\n"
+        "from measurecycles import Measure\n"
+        "m = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = Measure.from_terms(m.terms)\n"
+        "print(hash(m) == hash(fresh) and {fresh: 1}.get(m) == 1)\n"
+    )
+    src = str(Path(measurecycles.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(m),
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == b"True"

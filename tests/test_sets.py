@@ -10,6 +10,7 @@ from measurecycles.sets import (
     _assemble,
     _component_holds,
     _component_cuts,
+    _cuts,
     _elementary_pieces,
     format_component,
 )
@@ -158,6 +159,28 @@ def pairwise_union(comps) -> SetExpr:
 def test_from_components_matches_pairwise_definition(comps):
     got = SetExpr.from_components(comps)
     assert got.components == pairwise_union(comps).components
+
+
+def piecewise_combine(a: SetExpr, b: SetExpr, op) -> SetExpr:
+    """The definition of the boolean operators: an elementary piece of the
+    common cuts is in the result iff op holds of its membership in a and in b,
+    looked up piece by piece."""
+    pieces = _elementary_pieces(_cuts(a.components + b.components))
+    flags = [op(a.contains(k, x), b.contains(k, x)) for k, x in pieces]
+    return SetExpr(_assemble(pieces, flags))
+
+
+@given(set_exprs, set_exprs)
+@example(SetExpr.empty(), SetExpr.empty())
+@example(SetExpr.line(), SetExpr.point(0))
+@example(iv(0, 1, True, False), iv(1, 2, True, True))
+@example(iv(None, 0, False, True), iv(0, None) | SetExpr.point(F(1, 2)))
+def test_boolean_operators_match_piecewise_definition(a, b):
+    assert (a | b).components == piecewise_combine(a, b, lambda p, q: p or q).components
+    assert (a & b).components == piecewise_combine(a, b, lambda p, q: p and q).components
+    assert (a - b).components == piecewise_combine(a, b, lambda p, q: p and not q).components
+    assert a.is_subset(b) == piecewise_combine(a, b, lambda p, q: p and not q).is_empty()
+    assert a.intersects(b) == (not piecewise_combine(a, b, lambda p, q: p and q).is_empty())
 
 
 @given(set_exprs)
