@@ -104,10 +104,9 @@ class Measure:
 
     terms: tuple[tuple[Generator, Fraction], ...] = ()
 
-    # Searches hash a measure again at every dict or set lookup, and
-    # Fraction.__hash__ is a modular inverse per coefficient: hash once.  The
-    # cache stays out of pickled state, because enum hashes differ between
-    # processes.
+    # Searches hash a measure at every dict or set lookup, and each
+    # Fraction.__hash__ costs a modular inverse: hash once.  Pickles leave the
+    # cache out, since enum hashes differ between processes.
     @cached_property
     def _hash(self) -> int:
         return hash(self.terms)
