@@ -261,9 +261,9 @@ def loads(text: str) -> ChainSpec:
         raise SpecValidationError(
             [Diagnostic("JsonSyntax", f"line {e.lineno}, column {e.colno}", e.msg)]
         ) from None
-    except _FloatRejected as e:
+    except RecursionError:
         raise SpecValidationError(
-            [Diagnostic("FloatLiteral", "$", str(e))]
+            [Diagnostic("JsonSyntax", "$", "arrays or objects nest too deeply")]
         ) from None
     spec, diagnostics = parse_chain(obj)
     if diagnostics or spec is None:
@@ -271,18 +271,19 @@ def loads(text: str) -> ChainSpec:
     return spec
 
 
-class _FloatRejected(ValueError):
-    pass
-
-
 def _reject_float(text: str):
-    raise _FloatRejected(
-        f"float literal {text!r}: write exact rationals as strings like \"1/2\""
-    )
+    raise SpecValidationError([Diagnostic(
+        "FloatLiteral", "$", f"float literal {text!r}: write exact rationals as strings like \"1/2\""
+    )])
 
 
 def _keep_int(text: str) -> int:
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past Python's int->str digit limit
+        raise SpecValidationError([Diagnostic(
+            "IntLiteral", "$", f"integer literal of {len(text.lstrip('-'))} digits: too long to read"
+        )]) from None
 
 
 def load(path) -> ChainSpec:

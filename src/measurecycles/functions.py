@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 from .errors import KernelValidationError, NonConstantTail, PointEscapesSpace, RangeViolation
 from .measures import Measure
 from .polynomials import Polynomial, polynomial_image
-from .sets import Component, Partition, SetExpr, format_component, line_key
+from .sets import Component, Partition, SetExpr, format_component
 
 _NO_PIECE = {
     "atom": "{} is not in the phase space",
@@ -36,16 +36,15 @@ class PiecewisePolyFunction:
     _no_germ_piece = PointEscapesSpace
 
     def __post_init__(self):
-        pieces = tuple(sorted(self.pieces, key=lambda p: line_key(p[0])))
-        object.__setattr__(self, "pieces", pieces)
-        partition = Partition(comp for comp, _ in pieces)
+        partition = Partition(comp for comp, _ in self.pieces)
         overlap = partition.first_overlap()
         if overlap is not None:
             raise KernelValidationError(
                 "PieceOverlap", f"pieces overlap at {format_component(overlap)}"
             )
-        if SetExpr.from_components(partition.components) != self.space:
+        if partition.union() != self.space:
             raise KernelValidationError("PieceGap", "pieces must partition the space exactly")
+        object.__setattr__(self, "pieces", tuple(self.pieces[i] for i in partition.order))
         object.__setattr__(self, "_partition", partition)
 
     @staticmethod

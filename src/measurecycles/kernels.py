@@ -40,7 +40,7 @@ from .polynomials import (
     polynomial_image,
     split_interval,
 )
-from .sets import Component, Point, SetExpr, _component_cuts, format_component
+from .sets import Component, Point, SetExpr, _cuts, format_component
 
 
 def _push_measure(kernel: Kernel, mu: Measure) -> Measure:
@@ -70,6 +70,7 @@ class DeterministicKernel(PiecewisePolyFunction):
 
     def __post_init__(self):
         super().__post_init__()
+        images = []
         for comp, poly in self.pieces:
             image = SetExpr.from_components(polynomial_image(poly, comp))
             if not image.is_subset(self.space):
@@ -77,6 +78,8 @@ class DeterministicKernel(PiecewisePolyFunction):
                     "ImageOutsideSpace",
                     f"piece {format_component(comp)} maps onto {image}, which leaves the space",
                 )
+            images.append(image)
+        object.__setattr__(self, "_images", tuple(images))
 
     @property
     def is_deterministic(self) -> bool:
@@ -140,12 +143,15 @@ class DeterministicKernel(PiecewisePolyFunction):
 
     # -- action on observables -----------------------------------------------------
 
-    def _compose_on_piece(self, comp: Component, poly: Polynomial, f: PiecewisePolyFunction):
+    def _compose_on_piece(self, comp: Component, poly: Polynomial, image: SetExpr, f: PiecewisePolyFunction):
         if isinstance(comp, Point):
             yield comp, Polynomial.constant(f.value_at(poly(comp.value)))
             return
         cuts: set[Fraction] = set()
-        for b in sorted({v for fcomp, _ in f.pieces for v in _component_cuts(fcomp)}):
+        # poly takes the value b inside comp only if b lies in the piece's
+        # image, so a breakpoint outside it needs no root isolation: it can
+        # give neither a cut nor an irrational preimage.
+        for b in filter(image.contains_point, _cuts(fcomp for fcomp, _ in f.pieces)):
             shifted = poly - Polynomial.constant(b)
             if shifted.is_zero():
                 continue  # poly identically b: no crossing to cut at
@@ -160,8 +166,8 @@ class DeterministicKernel(PiecewisePolyFunction):
 
     def pull_function(self, f: PiecewisePolyFunction) -> PiecewisePolyFunction:
         pieces = []
-        for comp, poly in self.pieces:
-            pieces.extend(self._compose_on_piece(comp, poly, f))
+        for (comp, poly), image in zip(self.pieces, self._images):
+            pieces.extend(self._compose_on_piece(comp, poly, image, f))
         return PiecewisePolyFunction(self.space, tuple(pieces))
 
 

@@ -7,10 +7,12 @@ rational; ``None`` stands for an infinite endpoint (always open).
 
 One lookup answers "which component holds this generator" (an atom, a germ
 on either side of a point, or a tail) for sets, piecewise functions and
-kernels alike: `Partition.find` bisects the components by where they start,
-then tests the one candidate with the single per-component predicate.  It
-relies on the components being sorted in line order and pairwise disjoint;
-canonical sets are, and piecewise functions check it when they are built.
+kernels alike.  `Partition` cuts the line at every finite end of its
+components, maps each elementary piece between and at the cuts to the
+component that owns it, and keys the cuts as integers over the lcm of their
+denominators; `Partition.find` is then one integer bisection and one list
+read.  It relies on the components being pairwise disjoint; canonical sets
+are, and piecewise functions check it when they are built.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Iterator, Optional
 
 from .rationals import format_rational, parse_rational
@@ -59,7 +62,10 @@ def format_component(comp: Component) -> str:
 
 
 def _component_holds(comp: Component, kind: str, x: Optional[Fraction] = None) -> bool:
-    """Does the component hold the generator `kind` (a GeneratorKind value) at x?"""
+    """Does the component hold the generator `kind` (a GeneratorKind value) at x?
+
+    The per-component definition that `Partition.find` must agree with.
+    """
     if isinstance(comp, Point):
         return kind == "atom" and comp.value == x
     lo, hi = comp.lo, comp.hi
@@ -74,61 +80,6 @@ def _component_holds(comp: Component, kind: str, x: Optional[Fraction] = None) -
     if kind == "plus_infinity":
         return hi is None
     return lo is None
-
-
-_SIDE = {"left_limit": -1, "atom": 0, "right_limit": 1}
-
-
-def _position(kind: str, x: Optional[Fraction] = None) -> tuple:
-    """Line-order key of a generator: the minus tail, then at each x its left
-    germ, atom and right germ, then the plus tail."""
-    if kind == "minus_infinity":
-        return (0,)
-    if kind == "plus_infinity":
-        return (2,)
-    return (1, x, _SIDE[kind])
-
-
-def _start(comp: Component) -> tuple[str, Optional[Fraction]]:
-    """The generator a component starts with: its first point, the right germ
-    at an open lower end, or the minus tail."""
-    if isinstance(comp, Point):
-        return "atom", comp.value
-    if comp.lo is None:
-        return "minus_infinity", None
-    return ("atom" if comp.lo_closed else "right_limit"), comp.lo
-
-
-def line_key(comp: Component) -> tuple:
-    """Sort key that puts pairwise disjoint components in line order."""
-    return _position(*_start(comp))
-
-
-class Partition:
-    """Components in line order (sorted by `line_key`), searched by bisection.
-
-    Lookups assume the components are pairwise disjoint; `first_overlap`
-    checks that.  Then only the last component starting at or before a
-    generator can hold it, since every earlier one ends before that one starts.
-    """
-
-    def __init__(self, components: Iterable[Component]):
-        self.components = tuple(components)
-        self._keys = [line_key(c) for c in self.components]
-
-    def find(self, kind: str, x: Optional[Fraction] = None) -> Optional[int]:
-        """Index of the component holding the generator `kind` at x, or None."""
-        i = bisect_right(self._keys, _position(kind, x)) - 1
-        if i >= 0 and _component_holds(self.components[i], kind, x):
-            return i
-        return None
-
-    def first_overlap(self) -> Optional[Component]:
-        """The first component that meets its predecessor, or None."""
-        for a, b in zip(self.components, self.components[1:]):
-            if _component_holds(a, *_start(b)):
-                return b
-        return None
 
 
 def _component_cuts(comp: Component) -> Iterator[Fraction]:
@@ -207,6 +158,64 @@ def _assemble(pieces: list[tuple[str, Optional[Fraction]]], flags: list[bool]) -
             comps.append(Interval(lo, hi, start_kind == "atom", False))
         i = j + 1
     return tuple(comps)
+
+
+class Partition:
+    """Components indexed by the elementary pieces of their cuts.
+
+    At construction each of the `_elementary_pieces` of the sorted cuts is
+    mapped to the component that covers it, or None.  Components are numbered
+    in line order, and `order` lists each one's index in the order it came.
+    A lookup finds the one piece that holds a generator and reads its owner.
+    It compares integers only: with D the lcm of the cut denominators, cut c
+    is keyed by c*D and a location x by the floor and remainder of x*D.  D has
+    at most as many bits as the cut denominators together, so a lookup costs
+    time polynomial in the bit size of the input.
+
+    Lookups assume the components are pairwise disjoint; `first_overlap`
+    checks that, and the pieces are filled only up to the first overlap.
+    """
+
+    def __init__(self, components: Iterable[Component]):
+        given = tuple(components)
+        self._cuts = _cuts(given)
+        self._scale = lcm(*(c.denominator for c in self._cuts))
+        self._keys = [c.numerator * (self._scale // c.denominator) for c in self._cuts]
+        runs = [_piece_run(comp, self._cuts) for comp in given]
+        self.order = tuple(sorted(range(len(given)), key=lambda i: runs[i][0]))
+        self._owner: list[Optional[int]] = [None] * (2 * len(self._cuts) + 1)
+        self._overlap: Optional[Component] = None
+        end = -1  # the last piece owned so far
+        for rank, i in enumerate(self.order):
+            first, last = runs[i]
+            if first <= end:
+                self._overlap = given[i]
+                break
+            self._owner[first : last + 1] = [rank] * (last + 1 - first)
+            end = last
+
+    def find(self, kind: str, x: Optional[Fraction] = None) -> Optional[int]:
+        """Index (in line order) of the component holding the generator `kind`
+        at x, or None."""
+        owner = self._owner
+        if kind == "minus_infinity":
+            return owner[0]
+        if kind == "plus_infinity":
+            return owner[-1]
+        keys = self._keys
+        q, r = divmod(x.numerator * self._scale, x.denominator)
+        j = bisect_right(keys, q) if r else bisect_left(keys, q)  # cuts below x
+        if not r and j < len(keys) and keys[j] == q:  # x is cut j
+            return owner[2 * j + 1 if kind == "atom" else 2 * j + 2 if kind == "right_limit" else 2 * j]
+        return owner[2 * j]
+
+    def first_overlap(self) -> Optional[Component]:
+        """The first component in line order that meets an earlier one, or None."""
+        return self._overlap
+
+    def union(self) -> "SetExpr":
+        """The union of the components, for pairwise disjoint ones."""
+        return SetExpr(_assemble(_elementary_pieces(self._cuts), [o is not None for o in self._owner]))
 
 
 @dataclass(frozen=True)

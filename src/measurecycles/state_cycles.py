@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolation,
     IrrationalRootBoundary,
     NoRepresentableInvariant,
+    NotACycle,
     NotCountablyAdditive,
     NotDisjoint,
     NotFiniteChain,
@@ -244,7 +245,7 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
     if not cycle.singular:
         raise NotSingular("the state cycle's sets must be pairwise disjoint")
     if not verify_state_cycle(kernel, cycle):
-        raise ValueError("not a state cycle for this kernel")
+        raise NotACycle("not a state cycle for this kernel")
     m = cycle.period
     if isinstance(kernel, StochasticKernel):
         # The m-step chain restricted to D_1 is stochastic, since the state

@@ -90,6 +90,21 @@ def test_float_literal_rejected():
     assert "1/2" in str(err.value.diagnostics[0])
 
 
+def test_overlong_int_literal_and_deep_nesting_are_diagnostics():
+    obj = minimal_stochastic()
+    text = json.dumps(obj).replace('"1"', "-" + "7" * 5000, 1)
+    with pytest.raises(SpecValidationError) as err:
+        loads(text)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "IntLiteral at $: integer literal of 5000 digits: too long to read"
+    ]
+    with pytest.raises(SpecValidationError) as err:
+        loads('{"states": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "JsonSyntax at $: arrays or objects nest too deeply"
+    ]
+
+
 def test_json_syntax_error_reports_position():
     with pytest.raises(SpecValidationError) as err:
         loads('{"name": "t",\n  "kind": }')

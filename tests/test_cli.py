@@ -231,6 +231,30 @@ def test_check_reports_bad_declared_cycle(tmp_path, capsys):
     assert sum(1 for line in lines if ": PASS" in line) == len(CHECK_NAMES) - 1
 
 
+def test_check_reports_a_declared_state_cycle_that_does_not_verify(tmp_path, capsys):
+    # state 1 maps to state 0, so {1} alone is no state cycle
+    path = tmp_path / "badstatecycle.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "badstatecycle",
+                "kind": "stochastic",
+                "states": ["0", "1"],
+                "matrix": [["1", "0"], ["1", "0"]],
+                "state_cycles": [{"sets": [[{"point": "1"}]]}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "check declared_cycles: FAIL (declared state cycle 1 does not verify)"
+    assert "check state_measure_correspondence: FAIL (not a state cycle for this kernel)" in lines
+    assert sum(1 for line in lines if ": PASS" in line) == len(CHECK_NAMES) - 2
+    assert captured.err == ""
+
+
 def test_check_searches_cycles_once(monkeypatch, capsys):
     calls = []
     search = cli.enumerate_cycles

@@ -16,6 +16,7 @@ from measurecycles import (
     KernelValidationError,
     Measure,
     PiecewisePolyFunction,
+    Point,
     Polynomial,
     SetExpr,
     StochasticKernel,
@@ -29,7 +30,13 @@ from measurecycles.errors import (
     NonAtomicGenerator,
     PointEscapesSpace,
 )
-from support import conveyor_kernel, random_atomic_measure, random_stochastic_kernel
+from measurecycles.polynomials import _interior_probe, interior_rational_roots, split_interval
+from support import (
+    conveyor_kernel,
+    random_atomic_measure,
+    random_stochastic_kernel,
+    random_unit_band_function,
+)
 
 F = Fraction
 
@@ -325,6 +332,108 @@ def test_pull_rejects_irrational_breakpoint_preimage():
     with pytest.raises(IrrationalBreakpointPreimage) as excinfo:
         square.pull_function(step)
     assert str(excinfo.value) == "breakpoint 1/2 has an irrational preimage inside [0,1]"
+
+
+def pull_over_every_breakpoint(k, f):
+    """`pull_function` solved for every breakpoint of f on every piece of k,
+    with no image filter, piece for piece."""
+    breakpoints = sorted({v for c, _ in f.pieces for v in SetExpr((c,)).finite_boundary_values()})
+    pieces = []
+    for comp, poly in k.pieces:
+        if isinstance(comp, Point):
+            pieces.append((comp, Polynomial.constant(f.value_at(poly(comp.value)))))
+            continue
+        cuts = set()
+        for b in breakpoints:
+            shifted = poly - Polynomial.constant(b)
+            if not shifted.is_zero():
+                what = f"breakpoint {b} has an irrational preimage"
+                cuts.update(interior_rational_roots(shifted, comp, IrrationalBreakpointPreimage, what))
+        points, gaps = split_interval(comp, sorted(cuts))
+        pieces += [(pt, Polynomial.constant(f.value_at(poly(pt.value)))) for pt in points]
+        for gap in gaps:
+            _, fpoly = f.piece("atom", poly(_interior_probe(gap)))
+            pieces.append((gap, fpoly.compose(poly)))
+    return PiecewisePolyFunction(k.space, tuple(pieces))
+
+
+def _pulled(pull, k, f):
+    """The pulled-back pieces, or the text of the irrational-preimage error."""
+    try:
+        return pull(k, f).pieces
+    except IrrationalBreakpointPreimage as e:
+        return str(e)
+
+
+def _grid_function(rng, space):
+    """Random polynomials of degree <= 2 between cuts at multiples of 1/8
+    inside the (bounded) intervals of the space."""
+    pieces = []
+    for comp in space.components:
+        inside = [F(j, 8) for j in range(8 * int(comp.lo), 8 * int(comp.hi) + 1) if comp.lo < F(j, 8) < comp.hi]
+        points, gaps = split_interval(comp, sorted(rng.sample(inside, rng.randint(0, 3))))
+        for piece in points + gaps:
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            pieces.append((piece, Polynomial.of(*coeffs)))
+    return PiecewisePolyFunction.build(space, pieces)
+
+
+def test_pull_matches_composition_over_every_breakpoint():
+    rng = random.Random(16)
+    unit = SetExpr.interval(0, 1, True, True)
+    flip = DeterministicKernel(unit, ((Interval(F(0), F(1), True, True), Polynomial.of(1, -1)),))
+    cases = []
+    for _ in range(40):
+        k = conveyor_kernel(rng)
+        cases += [(k, _conveyor_function(rng, k)), (k, _grid_function(rng, k.space))]
+    for name in ("interval_squares", "interval_squares_closed"):
+        k = load_bundled(name).kernel
+        cases += [(k, _grid_function(rng, k.space)) for _ in range(10)]
+    cases += [(flip, random_unit_band_function(rng)) for _ in range(10)]
+    cases += [(flip, _grid_function(rng, unit)) for _ in range(10)]
+    solved = 0
+    for k, f in cases:
+        got = _pulled(DeterministicKernel.pull_function, k, f)
+        assert got == _pulled(pull_over_every_breakpoint, k, f)
+        solved += not isinstance(got, str)
+    assert solved >= len(cases) // 2
+
+
+def test_pull_still_rejects_an_irrational_preimage_inside_the_image():
+    # x^2 on [0,2) reaches the breakpoint 2 at sqrt(2); the breakpoint 4 is
+    # the image's open, unattained end
+    space = SetExpr.interval(0, 4, True, True)
+    k = DeterministicKernel(
+        space,
+        (
+            (Interval(F(0), F(2), True, False), Polynomial.of(0, 0, 1)),
+            (Interval(F(2), F(4), True, True), Polynomial.of(0, F(1, 2))),
+        ),
+    )
+    step = PiecewisePolyFunction.build(
+        space,
+        [
+            (Interval(F(0), F(2), True, False), Polynomial.constant(0)),
+            (Interval(F(2), F(4), True, True), Polynomial.constant(1)),
+        ],
+    )
+    text = "breakpoint 2 has an irrational preimage inside [0,2)"
+    with pytest.raises(IrrationalBreakpointPreimage) as excinfo:
+        k.pull_function(step)
+    assert str(excinfo.value) == text
+    assert _pulled(pull_over_every_breakpoint, k, step) == text
+
+
+def test_pull_cuts_nothing_at_an_open_end_of_the_image():
+    # both pieces map onto [0,1), whose open end 1 is the breakpoint of f
+    space = SetExpr.interval(0, 2, True, False)
+    left, right = Interval(F(0), F(1), True, False), Interval(F(1), F(2), True, False)
+    k = DeterministicKernel(space, ((left, Polynomial.of(0, 0, 1)), (right, Polynomial.of(-1, 1))))
+    f = PiecewisePolyFunction.build(space, [(left, Polynomial.of(0, 1)), (right, Polynomial.of(1, 1))])
+    assert not k.image().contains_point(F(1))
+    pulled = k.pull_function(f)
+    assert str(pulled) == "{0}: 0; (0,1): 1*x^2; {1}: 0; (1,2): -1 + 1*x"
+    assert pulled.pieces == pull_over_every_breakpoint(k, f).pieces
 
 
 def test_isometry_on_positive_cone():

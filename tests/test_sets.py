@@ -284,3 +284,122 @@ def test_format_component():
     assert format_component(Interval(F(0), F(3, 2), True, False)) == "[0,3/2)"
     assert format_component(Interval(None, F(1), False, True)) == "(-inf,1]"
     assert format_component(Point(F(-1, 2))) == "{-1/2}"
+
+
+# -- the integer-keyed piece index against the per-component definition --------
+
+# Pairwise coprime denominators of 1 to 40 digits: the lcm the index keys its
+# cuts over is then their product.
+COPRIME_DENS = [1, 2, 3, 5, 7, 1000000007, 10000000000000000051,
+                100000000000000000000000000319,
+                1000000000000000000000000000000000000003,
+                3000000000000000000000000000000000000037]
+TINY = F(1, 10**90)  # far below the gap between any two distinct cuts
+
+
+@st.composite
+def wide_fracs(draw):
+    den = draw(st.sampled_from(COPRIME_DENS))
+    return F(draw(st.integers(-3 * den, 3 * den)), den)
+
+
+def start_generator(comp):
+    """The generator a component starts with: its first point, the right germ
+    at an open lower end, or the minus tail."""
+    if isinstance(comp, Point):
+        return "atom", comp.value
+    if comp.lo is None:
+        return "minus_infinity", None
+    return ("atom" if comp.lo_closed else "right_limit"), comp.lo
+
+
+def line_order_key(comp):
+    """Sorts components by where they start: the minus tail first, then by
+    location, an atom before the right germ at the same location."""
+    kind, x = start_generator(comp)
+    return (0,) if x is None else (1, x, kind == "right_limit")
+
+
+def adjacent_pair_overlap(comps):
+    """The first component, in line order, whose start its predecessor holds:
+    the adjacent-pair reference for `Partition.first_overlap`."""
+    ordered = sorted(comps, key=line_order_key)
+    for a, b in zip(ordered, ordered[1:]):
+        if _component_holds(a, *start_generator(b)):
+            return b
+    return None
+
+
+def wide_probes(comps):
+    """Locations on every cut, a hair to either side of it, between cuts,
+    and beyond either end."""
+    cuts = _cuts(comps) or [F(0)]
+    xs = [cuts[0] - 1, cuts[-1] + 1, -cuts[-1] - 7]
+    xs += [c + d for c in cuts for d in (0, TINY, -TINY)]
+    xs += [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    return xs
+
+
+@st.composite
+def shuffled_disjoint(draw):
+    """Pairwise disjoint components over wide cuts, in any order."""
+    cuts = sorted(draw(st.sets(wide_fracs(), max_size=6)))
+    bounds = [None] + cuts + [None]
+    comps = []
+    held = False  # the interval before holds the cut `lo`
+    for lo, hi in zip(bounds, bounds[1:]):
+        take = draw(st.booleans())
+        lo_closed = lo is not None and not held and take and draw(st.booleans())
+        if lo is not None and not held and not lo_closed and draw(st.booleans()):
+            comps.append(Point(lo))
+        held = take and hi is not None and draw(st.booleans())
+        if take:
+            comps.append(Interval(lo, hi, lo_closed, held))
+    return draw(st.permutations(comps))
+
+
+@given(shuffled_disjoint(), st.lists(wide_fracs(), max_size=4))
+@example([], [F(0)])
+@example([Interval(None, None)], [F(-5)])
+@example([Interval(F(1, 3), F(2, 5), True, False), Point(F(-1, 7))], [F(2, 5)])
+@example([Point(F(10**40 + 1, 10**40 + 3)), Interval(None, F(-1, 10**39 + 3))], [F(1)])
+def test_index_find_matches_linear_scan(comps, extra):
+    part = Partition(comps)
+    assert part.first_overlap() is None
+    ordered = sorted(comps, key=line_order_key)
+    assert [comps[i] for i in part.order] == ordered
+    assert part.union() == SetExpr.from_components(comps)
+    queries = [(k, x) for x in wide_probes(comps) + extra for k in KINDS[:3]]
+    for kind, x in queries + [(k, None) for k in KINDS[3:]]:
+        hits = [i for i, c in enumerate(ordered) if _component_holds(c, kind, x)]
+        assert len(hits) <= 1
+        assert part.find(kind, x) == (hits[0] if hits else None), (kind, x)
+
+
+@st.composite
+def wide_components(draw, cuts):
+    """A point, or an interval between two of the cuts or infinity."""
+    ends = st.one_of(st.none(), st.sampled_from(cuts))
+    if draw(st.booleans()):
+        return Point(draw(st.sampled_from(cuts)))
+    lo, hi = draw(ends), draw(ends)
+    if lo is not None and hi is not None:
+        if lo == hi:
+            return Point(lo)
+        lo, hi = min(lo, hi), max(lo, hi)
+    return Interval(lo, hi, lo is not None and draw(st.booleans()), hi is not None and draw(st.booleans()))
+
+
+overlap_candidates = st.lists(wide_fracs(), min_size=1, max_size=4, unique=True).flatmap(
+    lambda cuts: st.lists(wide_components(cuts), max_size=5)
+)
+
+
+@given(overlap_candidates)
+@example([])
+@example([Interval(F(0), F(1), True, True), Point(F(1))])
+@example([Interval(F(1), F(2), True, False), Interval(F(0), F(1), False, True)])
+@example([Interval(None, F(1)), Interval(None, F(0))])
+@example([Point(F(1, 3)), Interval(F(0), None), Interval(F(-1), F(1, 3), False, True)])
+def test_index_first_overlap_matches_adjacent_pairs(comps):
+    assert Partition(comps).first_overlap() == adjacent_pair_overlap(comps)
