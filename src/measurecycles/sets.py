@@ -7,12 +7,10 @@ rational; ``None`` stands for an infinite endpoint (always open).
 
 One lookup answers "which component holds this generator" (an atom, a germ
 on either side of a point, or a tail) for sets, piecewise functions and
-kernels alike.  `Partition` cuts the line at every finite end of its
-components, maps each elementary piece between and at the cuts to the
-component that owns it, and keys the cuts as integers over the lcm of their
-denominators; `Partition.find` is then one integer bisection and one list
-read.  It relies on the components being pairwise disjoint; canonical sets
-are, and piecewise functions check it when they are built.
+kernels alike: `Partition.find`, one bisection over integer keys of the
+cuts, in time polynomial in their bit size.  It relies on the components
+being pairwise disjoint; canonical sets are, and piecewise functions check
+it when they are built.
 """
 
 from __future__ import annotations
@@ -205,7 +203,7 @@ class Partition:
         keys = self._keys
         q, r = divmod(x.numerator * self._scale, x.denominator)
         j = bisect_right(keys, q) if r else bisect_left(keys, q)  # cuts below x
-        if not r and j < len(keys) and keys[j] == q:  # x is cut j
+        if j < len(keys) and keys[j] == q:  # x is cut j
             return owner[2 * j + 1 if kind == "atom" else 2 * j + 2 if kind == "right_limit" else 2 * j]
         return owner[2 * j]
 

@@ -225,10 +225,11 @@ def brute_probe(kind, x):
 
 
 @st.composite
-def disjoint_components(draw):
-    """Pairwise disjoint components in line order; neighbours may touch, as
-    [0,1) with {1} and (1,2) do, and the ends may be unbounded."""
-    cuts = sorted(draw(st.sets(fracs, max_size=5)))
+def disjoint_components(draw, values=fracs):
+    """Pairwise disjoint components in line order, cut at up to five of the
+    values; neighbours may touch, as [0,1) with {1} and (1,2) do, and the ends
+    may be unbounded."""
+    cuts = sorted(draw(st.sets(values, max_size=5)))
     bounds = [None] + cuts + [None]
     comps = []
     held = False  # the interval before holds the cut `lo`
@@ -340,25 +341,7 @@ def wide_probes(comps):
     return xs
 
 
-@st.composite
-def shuffled_disjoint(draw):
-    """Pairwise disjoint components over wide cuts, in any order."""
-    cuts = sorted(draw(st.sets(wide_fracs(), max_size=6)))
-    bounds = [None] + cuts + [None]
-    comps = []
-    held = False  # the interval before holds the cut `lo`
-    for lo, hi in zip(bounds, bounds[1:]):
-        take = draw(st.booleans())
-        lo_closed = lo is not None and not held and take and draw(st.booleans())
-        if lo is not None and not held and not lo_closed and draw(st.booleans()):
-            comps.append(Point(lo))
-        held = take and hi is not None and draw(st.booleans())
-        if take:
-            comps.append(Interval(lo, hi, lo_closed, held))
-    return draw(st.permutations(comps))
-
-
-@given(shuffled_disjoint(), st.lists(wide_fracs(), max_size=4))
+@given(disjoint_components(wide_fracs()).flatmap(st.permutations), st.lists(wide_fracs(), max_size=4))
 @example([], [F(0)])
 @example([Interval(None, None)], [F(-5)])
 @example([Interval(F(1, 3), F(2, 5), True, False), Point(F(-1, 7))], [F(2, 5)])
