@@ -30,6 +30,7 @@ from .cycles import (
     canonical_seeds,
     decompose_cycle,
     enumerate_cycles,
+    measure_kind,
     measure_rank,
     verify_cycle,
 )
@@ -300,7 +301,10 @@ def _check_isometry(spec: ChainSpec, cycles, battery):
 
 def _check_cycle_classification(spec: ChainSpec, cycles, battery):
     for c in cycles():
-        c.classify()  # raises InvariantViolation on a mixed-type cycle
+        kind = c.classify()
+        for i, m in enumerate(c.coords, 1):
+            if (found := measure_kind(m)) is not kind:
+                return False, f"coordinate {i} is {found.value}, the cycle {kind.value}"
     return True, ""
 
 

@@ -4,7 +4,8 @@ A cycle of period m is a tuple of pairwise distinct nonnegative measures
 (mu_1, ..., mu_m) with push(mu_i) = mu_{i+1} and push(mu_m) = mu_1.  The mean
 measure of a cycle is a fixed point of the pushforward; cycles over the same
 kernel with equal periods add coordinatewise; positive scaling and
-normalization preserve cyclicity.
+normalization preserve cyclicity.  Every cycle splits coordinatewise into a
+countably additive and a purely finitely additive cycle (`decompose_cycle`).
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvariantViolation, MeasureChainError, NotACycle, PeriodMismatch
+from .errors import MeasureChainError, NotACycle, PeriodMismatch
 from .kernels import Kernel, StochasticKernel
-from .measures import Measure, is_disjoint
+from .measures import Measure
 from .rationals import parse_rational
-from .sets import SetExpr, _component_cuts
+from .sets import SetExpr
 
 
 class CycleKind(Enum):
@@ -64,10 +64,9 @@ class Cycle:
         return sum(self.coords, Measure.zero()) * Fraction(1, self.period)
 
     def norm(self) -> Fraction:
-        norms = {m.norm() for m in self.coords}
-        if len(norms) != 1:
-            raise InvariantViolation("cycle coordinates must share one norm")
-        return norms.pop()
+        """The norm of every coordinate: a push keeps the mass of a
+        nonnegative measure."""
+        return self.coords[0].norm()
 
     def scale(self, gamma) -> "Cycle":
         g = parse_rational(gamma)
@@ -159,68 +158,71 @@ def cycle_equal(a: Cycle, b: Cycle) -> bool:
     return any(rot == b.coords for rot in _rotations(a.coords))
 
 
-def classify_cycle(cycle: Cycle) -> CycleKind:
-    """Homogeneous classification of the coordinates' additivity type.
+def measure_kind(m: Measure) -> CycleKind:
+    """The additivity type of a nonzero measure."""
+    ca, pfa = m.split()
+    if pfa.is_zero():
+        return CycleKind.COUNTABLY_ADDITIVE
+    return CycleKind.PURELY_FINITELY_ADDITIVE if ca.is_zero() else CycleKind.MIXED
 
-    Every coordinate of a cycle has the same type; a mismatch would contradict
-    the invariance of the countably additive and purely finitely additive
-    parts, so it is reported as an InvariantViolation.
-    """
-    kinds = set()
-    for m in cycle.coords:
-        ca, pfa = m.split()
-        if pfa.is_zero():
-            kinds.add(CycleKind.COUNTABLY_ADDITIVE)
-        elif ca.is_zero():
-            kinds.add(CycleKind.PURELY_FINITELY_ADDITIVE)
-        else:
-            kinds.add(CycleKind.MIXED)
-    if len(kinds) != 1:
-        raise InvariantViolation(
-            "cycle coordinates mix additivity types: " + ", ".join(sorted(k.value for k in kinds))
-        )
-    return kinds.pop()
+
+def classify_cycle(cycle: Cycle) -> CycleKind:
+    """The additivity type of the coordinates, read from the first.  They all
+    share it: both sides of the split cycle (`decompose_cycle`), so each side
+    is zero on every coordinate or on none."""
+    return measure_kind(cycle.coords[0])
+
+
+def _least_period_cycle(kernel: Kernel, parts: tuple[Measure, ...]) -> Optional[Cycle]:
+    """Cyclic parts as a cycle of their least period, or None if zero."""
+    if parts[0].is_zero():
+        return None
+    d = next(d for d in range(1, len(parts) + 1) if parts[d % len(parts)] == parts[0])
+    return Cycle(kernel, parts[:d])
 
 
 @dataclass(frozen=True)
 class DecomposedCycle:
     """Coordinatewise countably-additive / purely-finitely-additive split.
 
-    For a cycle with pairwise disjoint coordinates both sides are verified
-    cycles (or empty).  For non-disjoint coordinates the split is still
-    returned but flagged `verified=False`, with the raw parts in
-    `ca_parts`/`pfa_parts`.
+    Coordinate i of the cycle is `ca_parts[i] + pfa_parts[i]`.  `ca` and `pfa`
+    are the sides as cycles of their least periods, which divide the cycle's,
+    from its first coordinate on; a zero side is None.  A side repeats
+    `period // side.period` times round the cycle.
     """
 
     ca: Optional[Cycle]
     pfa: Optional[Cycle]
     ca_parts: tuple[Measure, ...]
     pfa_parts: tuple[Measure, ...]
-    verified: bool
+
+    @property
+    def verified(self) -> bool:
+        """Always True, as both sides always cycle; kept for callers written
+        when only splits of disjoint coordinates were known to cycle."""
+        return True
 
 
 def decompose_cycle(cycle: Cycle) -> DecomposedCycle:
+    """Split each coordinate into its atoms (countably additive part) and the
+    rest (purely finitely additive part); both sides always cycle.
+
+    Write mu_i = lambda_i + nu_i with lambda_i the atoms.  A push sends atoms
+    to atoms, and it keeps the mass of a nonnegative measure, since every
+    generator pushes to a probability.  So the atoms of push(mu_i) = mu_{i+1}
+    are push(lambda_i) plus the atoms of push(nu_i), and
+    ||lambda_{i+1}|| = ||lambda_i|| + ||atoms of push(nu_i)||.  Going once
+    round the cycle forces every added term to 0, so push(lambda_i) =
+    lambda_{i+1} and push(nu_i) = nu_{i+1}: each side is a cycle whose least
+    period divides the cycle's.
+    """
     ca_parts, pfa_parts = map(tuple, zip(*(m.split() for m in cycle.coords)))
-    disjoint = all(is_disjoint(a, b) for a, b in combinations(cycle.coords, 2))
-
-    def side(parts: tuple[Measure, ...]) -> Optional[Cycle]:
-        if all(p.is_zero() for p in parts):
-            return None
-        try:
-            return Cycle(cycle.kernel, parts)
-        except NotACycle:
-            return None
-
-    ca_side = side(ca_parts)
-    pfa_side = side(pfa_parts)
-    if disjoint:
-        if (ca_side is None and any(not p.is_zero() for p in ca_parts)) or (
-            pfa_side is None and any(not p.is_zero() for p in pfa_parts)
-        ):
-            raise InvariantViolation(
-                "disjoint cycle split into a non-cycle; the split parts must cycle"
-            )
-    return DecomposedCycle(ca_side, pfa_side, ca_parts, pfa_parts, disjoint)
+    return DecomposedCycle(
+        _least_period_cycle(cycle.kernel, ca_parts),
+        _least_period_cycle(cycle.kernel, pfa_parts),
+        ca_parts,
+        pfa_parts,
+    )
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -299,8 +301,7 @@ def canonical_seeds(kernel: Kernel) -> list[Measure]:
     if isinstance(kernel, StochasticKernel):
         atoms = [Measure.dirac(s) for s in kernel.states]
         return atoms + [m for coords in _class_cycles(kernel) for m in coords]
-    boundaries = sorted({v for comp, _ in kernel.pieces for v in _component_cuts(comp)})
-    seeds = _boundary_seeds(kernel.space, boundaries)
+    seeds = _boundary_seeds(kernel.space, kernel._partition.cuts)
     if kernel.space.contains_plus_tail():
         seeds.append(Measure.at_plus_infinity())
     if kernel.space.contains_minus_tail():

@@ -40,7 +40,7 @@ from .polynomials import (
     polynomial_image,
     split_interval,
 )
-from .sets import Component, Point, SetExpr, _cuts, format_component
+from .sets import Component, Point, SetExpr, format_component
 
 
 def _push_measure(kernel: Kernel, mu: Measure) -> Measure:
@@ -151,7 +151,7 @@ class DeterministicKernel(PiecewisePolyFunction):
         # poly takes the value b inside comp only if b lies in the piece's
         # image, so a breakpoint outside it needs no root isolation: it can
         # give neither a cut nor an irrational preimage.
-        for b in filter(image.contains_point, _cuts(fcomp for fcomp, _ in f.pieces)):
+        for b in filter(image.contains_point, f._partition.cuts):
             shifted = poly - Polynomial.constant(b)
             if shifted.is_zero():
                 continue  # poly identically b: no crossing to cut at

@@ -341,26 +341,6 @@ def _real_roots(
     return sorted(rational), irrational
 
 
-def square_free_part(p: Polynomial) -> Polynomial:
-    """p over gcd(p, p'), with p's leading coefficient."""
-    if p.degree() <= 0:
-        return p
-    f = _square_free(_integer_polynomial(p))
-    return Polynomial(tuple(p.leading() * c / f[-1] for c in f))
-
-
-def rational_roots(p: Polynomial) -> list[Fraction]:
-    """All distinct rational roots, sorted."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has every rational as a root")
-    return _real_roots(p, None, None)[0]
-
-
-def irrational_root_count_open(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    """Number of distinct irrational real roots of p strictly inside (lo, hi)."""
-    return _real_roots(p, lo, hi)[1]
-
-
 def interior_rational_roots(
     p: Polynomial, comp: Interval, error: type[Exception], what: str
 ) -> list[Fraction]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rationals import format_rational, parse_rational
 
@@ -90,7 +90,7 @@ def _component_cuts(comp: Component) -> Iterator[Fraction]:
             yield comp.hi
 
 
-def _elementary_pieces(cuts: list[Fraction]) -> list[tuple[str, Optional[Fraction]]]:
+def _elementary_pieces(cuts: Sequence[Fraction]) -> list[tuple[str, Optional[Fraction]]]:
     """Cut the line at the sorted cuts.
 
     Each piece is given, in line order, by a generator only it holds: the atom
@@ -109,7 +109,7 @@ def _cuts(comps: Iterable[Component]) -> list[Fraction]:
     return sorted({c for comp in comps for c in _component_cuts(comp)})
 
 
-def _piece_run(comp: Component, cuts: list[Fraction]) -> tuple[int, int]:
+def _piece_run(comp: Component, cuts: Sequence[Fraction]) -> tuple[int, int]:
     """The first and last of the `_elementary_pieces(cuts)` that a component
     covers, for cuts that include its ends."""
     if isinstance(comp, Point):
@@ -176,7 +176,7 @@ class Partition:
 
     def __init__(self, components: Iterable[Component]):
         given = tuple(components)
-        self._cuts = _cuts(given)
+        self._cuts = tuple(_cuts(given))
         self._scale = lcm(*(c.denominator for c in self._cuts))
         self._keys = [c.numerator * (self._scale // c.denominator) for c in self._cuts]
         runs = [_piece_run(comp, self._cuts) for comp in given]
@@ -191,6 +191,11 @@ class Partition:
                 break
             self._owner[first : last + 1] = [rank] * (last + 1 - first)
             end = last
+
+    @property
+    def cuts(self) -> tuple[Fraction, ...]:
+        """The components' finite ends and points, sorted and deduplicated."""
+        return self._cuts
 
     def find(self, kind: str, x: Optional[Fraction] = None) -> Optional[int]:
         """Index (in line order) of the component holding the generator `kind`
@@ -319,7 +324,7 @@ class SetExpr:
 
     def finite_boundary_values(self) -> list[Fraction]:
         """Finite endpoints and point locations, sorted and deduplicated."""
-        return sorted({c for comp in self.components for c in _component_cuts(comp)})
+        return list(self._partition.cuts)
 
     # -- serialization -----------------------------------------------------
 

@@ -10,6 +10,7 @@ import pytest
 import measurecycles
 from measurecycles import cli
 from measurecycles.cli import main
+from measurecycles.cycles import Cycle
 from measurecycles.errors import InvariantViolation
 from measurecycles.kernels import StochasticKernel
 from measurecycles.measures import Measure
@@ -292,6 +293,28 @@ def test_check_reports_a_failed_search_in_each_check(monkeypatch, capsys):
         for n in CHECK_NAMES
     ]
     assert len(calls) == 1
+
+
+def test_check_fails_a_cycle_whose_coordinates_mix_types(monkeypatch, capsys):
+    def unverified(kernel, coords):
+        """A Cycle built without the verification that rejects these coordinates."""
+        cycle = object.__new__(Cycle)
+        object.__setattr__(cycle, "kernel", kernel)
+        object.__setattr__(cycle, "coords", coords)
+        return cycle
+
+    atom, germ = Measure.dirac(0), Measure.left_germ(2)
+    expected = {
+        (atom, germ): "coordinate 2 is purely_finitely_additive, the cycle countably_additive",
+        (atom + germ, atom): "coordinate 2 is countably_additive, the cycle mixed",
+    }
+    for coords, detail in expected.items():
+        monkeypatch.setattr(cli, "enumerate_cycles", lambda k, m: [unverified(k, coords)])
+        assert main(["check", "interval_squares_closed"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[CHECK_NAMES.index("cycle_classification")] == (
+            f"check cycle_classification: FAIL ({detail})"
+        )
 
 
 def test_trajectory_past_the_digit_limit_exits_cleanly():

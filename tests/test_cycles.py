@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -298,6 +299,62 @@ def test_decompose_homogeneous_cycle_has_empty_side():
     assert d.verified
     assert d.pfa is None
     assert d.ca is not None and cycle_equal(d.ca, atom_cycle)
+
+
+def test_decompose_overlapping_coordinates_of_the_reflection():
+    # x -> 1 - x: the fixed atom 1/2 rides on both coordinates of a germ 2-cycle
+    k = reflection_kernel()
+    half = F(1, 2)
+    atom, right, left = Measure.dirac(half), Measure.right_germ(half), Measure.left_germ(half)
+    c = Cycle(k, (atom + right, atom + left))
+    d = decompose_cycle(c)
+    assert d.verified
+    assert d.ca is not None and d.ca.coords == (atom,)
+    assert d.pfa is not None and d.pfa.coords == (right, left)
+    assert c.period // d.ca.period == 2
+    assert d.ca_parts == (atom, atom) and d.pfa_parts == (right, left)
+
+
+def translation_kernel(perm):
+    """Piece [i, i+1) of [0, n) translated onto [perm[i], perm[i] + 1)."""
+    pieces = tuple(
+        (Interval(F(i), F(i + 1), True, False), Polynomial.of(perm[i] - i, 1))
+        for i in range(len(perm))
+    )
+    return DeterministicKernel(SetExpr.interval(0, len(perm), True, False), pieces)
+
+
+def orbit(k, seed):
+    coords = [seed]
+    while (image := k.push_measure(coords[-1])) != seed:
+        coords.append(image)
+    return tuple(coords)
+
+
+def test_decompose_sums_of_atom_and_germ_cycles_of_different_periods():
+    rng = random.Random(1111)
+    seen = set()
+    for _ in range(60):
+        p, q = rng.sample([1, 2, 3, 4], 2)
+        # blocks [0, p) and [p, p + q) of pieces are rotated; a tail of fixed pieces
+        perm = [(i + 1) % p for i in range(p)] + [p + (i + 1) % q for i in range(q)]
+        perm += range(len(perm), len(perm) + rng.randint(0, 2))
+        k = translation_kernel(perm)
+        x = rng.randrange(p) + F(rng.randrange(8), 8)
+        germ = rng.choice([Measure.right_germ(p + rng.randrange(q) + F(rng.randrange(8), 8)),
+                           Measure.left_germ(p + rng.randrange(q) + F(rng.randrange(1, 9), 8))])
+        atoms = orbit(k, Measure.dirac(x) * F(rng.randint(1, 5), rng.randint(1, 5)))
+        germs = orbit(k, germ * F(rng.randint(1, 5), rng.randint(1, 5)))
+        assert (len(atoms), len(germs)) == (p, q)
+        c = Cycle(k, tuple(atoms[i % p] + germs[i % q] for i in range(lcm(p, q))))
+        d = decompose_cycle(c)
+        assert d.verified
+        assert d.ca.coords == atoms and d.pfa.coords == germs
+        for i, m in enumerate(c.coords):
+            assert d.ca.coords[i % d.ca.period] + d.pfa.coords[i % d.pfa.period] == m
+            assert (d.ca_parts[i], d.pfa_parts[i]) == (atoms[i % p], germs[i % q])
+        seen.add((p, q))
+    assert {p for p, _ in seen} == {q for _, q in seen} == {1, 2, 3, 4}
 
 
 # -- linear independence --------------------------------------------------------------

@@ -8,10 +8,10 @@ from measurecycles import Interval, Point, Polynomial, SetExpr
 from measurecycles.errors import IrrationalCriticalPoint
 from measurecycles.polynomials import (
     _first_nonzero_derivative,
-    irrational_root_count_open,
+    _integer_polynomial,
+    _real_roots,
+    _square_free,
     polynomial_image,
-    rational_roots,
-    square_free_part,
 )
 
 F = Fraction
@@ -52,38 +52,38 @@ def test_rational_roots_of_constructed_product():
     for r in roots:
         p = p * Polynomial.of(-r, 1)
     p = p * Polynomial.of(1, 0, 1)  # x^2 + 1 contributes nothing real
-    assert rational_roots(p) == sorted(roots)
+    assert _real_roots(p, None, None)[0] == sorted(roots)
 
 
 @given(polys)
 def test_rational_roots_actually_vanish(p):
     if p.is_zero():
         return
-    for r in rational_roots(p):
+    for r in _real_roots(p, None, None)[0]:
         assert p(r) == 0
 
 
 def test_square_free_part_drops_multiplicity():
     p = Polynomial.of(-1, 1) * Polynomial.of(-1, 1) * Polynomial.of(2, 1)
-    sf = square_free_part(p)
+    sf = Polynomial.of(*_square_free(_integer_polynomial(p)))
     assert sf(F(1)) == 0 and sf(F(-2)) == 0
-    assert rational_roots(sf) == [F(-2), F(1)]
+    assert _real_roots(sf, None, None)[0] == [F(-2), F(1)]
     # no repeated roots left: derivative shares no root
-    for r in rational_roots(sf):
+    for r in _real_roots(sf, None, None)[0]:
         assert sf.derivative()(r) != 0
 
 
 def test_irrational_root_count_sturm():
     p = Polynomial.of(-2, 0, 1)  # x^2 - 2
-    assert irrational_root_count_open(p, F(0), F(2)) == 1
-    assert irrational_root_count_open(p, F(3, 2), F(2)) == 0
-    assert irrational_root_count_open(p, None, None) == 2
+    assert _real_roots(p, F(0), F(2))[1] == 1
+    assert _real_roots(p, F(3, 2), F(2))[1] == 0
+    assert _real_roots(p, None, None)[1] == 2
     q = Polynomial.of(-4, 0, 1)  # x^2 - 4: rational roots only
-    assert irrational_root_count_open(q, None, None) == 0
+    assert _real_roots(q, None, None)[1] == 0
     # mixed: (x^2 - 2)(x - 1) has one rational and two irrational roots
     r = p * Polynomial.of(-1, 1)
-    assert irrational_root_count_open(r, F(0), F(3)) == 1
-    assert irrational_root_count_open(r, F(-2), F(3)) == 2
+    assert _real_roots(r, F(0), F(3))[1] == 1
+    assert _real_roots(r, F(-2), F(3))[1] == 2
 
 
 def test_image_of_monotone_piece():

@@ -1,10 +1,11 @@
-"""The integer root engine behind `rational_roots`, `irrational_root_count_open`
-and `interior_rational_roots`, cross-checked against sympy's real-root
+"""The integer root engine `_real_roots`, its square-free step and
+`interior_rational_roots`, cross-checked against sympy's real-root
 isolation on random polynomials with coefficients of up to 40 digits."""
 
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -12,10 +13,10 @@ import sympy
 from measurecycles import Interval, Polynomial
 from measurecycles.errors import IrrationalCriticalPoint
 from measurecycles.polynomials import (
+    _integer_polynomial,
+    _real_roots,
+    _square_free,
     interior_rational_roots,
-    irrational_root_count_open,
-    rational_roots,
-    square_free_part,
 )
 
 F = Fraction
@@ -81,8 +82,8 @@ def test_roots_match_sympy():
         on_closed = [r for r in rational if r in (lo, hi) or _inside(r, lo, hi)]
         irrational = int(poly.count_roots(*ends)) - len(on_closed)
         inside = [r for r in rational if _inside(r, lo, hi)]
-        assert rational_roots(p) == rational
-        assert irrational_root_count_open(p, lo, hi) == irrational
+        assert _real_roots(p, None, None)[0] == rational
+        assert _real_roots(p, lo, hi)[1] == irrational
         comp = Interval(lo, hi)
         if irrational:
             with pytest.raises(IrrationalCriticalPoint, match="^p inside "):
@@ -99,7 +100,10 @@ def test_square_free_part_matches_sympy():
     for i in range(40):
         p = _random_polynomial(rng, 3 if i % 2 else 2)
         p = p * Polynomial.of(*(_big(rng, 2) or 1 for _ in range(2)))
-        sf = square_free_part(p)
+        f = _square_free(_integer_polynomial(p))
+        assert f[-1] > 0 and gcd(*f) == 1
+        # rescaled to p's leading coefficient
+        sf = Polynomial.of(*f) * Polynomial.constant(p.leading() / f[-1])
         assert sf.leading() == p.leading()
         assert _sympy_poly(sf).monic() == _sympy_poly(p).sqf_part().monic()
 
@@ -109,34 +113,34 @@ def test_roots_at_both_ends_of_the_interval():
     # the first bisection midpoint
     p = Polynomial.of(0, 1) * Polynomial.of(-1, 1) * Polynomial.of(F(-1, 2), 1) * Polynomial.of(-2, 0, 1)
     assert interior_rational_roots(p, Interval(F(0), F(1)), IrrationalCriticalPoint, "p") == [F(1, 2)]
-    assert irrational_root_count_open(p, F(0), F(1)) == 0
-    assert irrational_root_count_open(p, F(1), None) == 1
-    assert irrational_root_count_open(p, None, F(0)) == 1
+    assert _real_roots(p, F(0), F(1))[1] == 0
+    assert _real_roots(p, F(1), None)[1] == 1
+    assert _real_roots(p, None, F(0))[1] == 1
     # one root next to an end that is a root: the sign at that end is 0, and
     # the sign just inside it is positive for q and negative for -q
     q = Polynomial.of(-1, 1) * Polynomial.of(F(-7, 5), 1) * Polynomial.of(-3, 1)
     for s in (q, -q, q * Polynomial.of(-2, 1)):
         assert interior_rational_roots(s, Interval(F(1), F(2)), IrrationalCriticalPoint, "q") == [F(7, 5)]
     r = Polynomial.of(-1, 1) * Polynomial.of(-2, 0, 1)
-    assert irrational_root_count_open(r, F(1), F(3, 2)) == 1
+    assert _real_roots(r, F(1), F(3, 2))[1] == 1
     # x (x^2 - 2000 x + 1): an irrational root 1000 - sqrt(999999), about
     # 1/2000, next to the rational root 0 at the end
     s = Polynomial.of(0, 1, -2000, 1)
-    assert irrational_root_count_open(s, F(0), F(1)) == 1
-    assert rational_roots(s) == [F(0)]
-    assert irrational_root_count_open(r, F(-2), F(1)) == 1
+    assert _real_roots(s, F(0), F(1))[1] == 1
+    assert _real_roots(s, None, None)[0] == [F(0)]
+    assert _real_roots(r, F(-2), F(1))[1] == 1
 
 
 def test_unbounded_ends():
     p = Polynomial.of(-3, 0, 1) * Polynomial.of(F(5, 3), 1)  # -sqrt(3) < -5/3 < sqrt(3)
-    assert irrational_root_count_open(p, None, None) == 2
-    assert irrational_root_count_open(p, None, F(-1)) == 1
-    assert irrational_root_count_open(p, F(-17, 10), None) == 1
-    assert irrational_root_count_open(p, None, F(-(10**50))) == 0
-    assert irrational_root_count_open(p, F(10**50), None) == 0
+    assert _real_roots(p, None, None)[1] == 2
+    assert _real_roots(p, None, F(-1))[1] == 1
+    assert _real_roots(p, F(-17, 10), None)[1] == 1
+    assert _real_roots(p, None, F(-(10**50)))[1] == 0
+    assert _real_roots(p, F(10**50), None)[1] == 0
     comp = Interval(F(-17, 10), F(1))
     assert interior_rational_roots(p, comp, IrrationalCriticalPoint, "p") == [F(-5, 3)]
-    assert rational_roots(p) == [F(-5, 3)]
+    assert _real_roots(p, None, None)[0] == [F(-5, 3)]
 
 
 def test_forty_digit_degree_eight_finishes_fast():
@@ -145,7 +149,7 @@ def test_forty_digit_degree_eight_finishes_fast():
     for _ in range(20):
         coeffs = [_big(rng, 40) for _ in range(8)] + [rng.choice((-1, 1)) * rng.randint(10**39, 10**40)]
         p = Polynomial.of(*coeffs)
-        for call in (lambda: rational_roots(p), lambda: irrational_root_count_open(p, F(-1, 3), F(10**12, 7))):
+        for call in (lambda: _real_roots(p, None, None), lambda: _real_roots(p, F(-1, 3), F(10**12, 7))):
             start = time.perf_counter()
             call()
             slowest = max(slowest, time.perf_counter() - start)
