@@ -10,8 +10,9 @@ CHAIN is a path to a chain JSON file, or the name of a bundled chain.  Exit
 codes: 0 success, 1 validation failure, 2 invariant/check failure, 3 I/O.
 Output is byte-deterministic for a fixed chain and flags.  With m the
 --max-period, `cycles` lists one class cycle per recurrent class of period
-<= m of a finite chain, not their mixtures, and the cycles that the boundary
-seeds of a piecewise map reach within 4m+8 pushes.
+<= m of a finite chain, not their mixtures, and every orbit of period <= m
+of one generator of a piecewise map at rational locations, bar the interior
+of continuum cells.
 """
 
 from __future__ import annotations
@@ -427,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(fn=cmd_trajectory)
 
-    p = sub.add_parser("cycles", help="class cycles (finite chain) or boundary-seed cycles (map)")
+    p = sub.add_parser("cycles", help="class cycles (finite chain) or rational periodic orbits (map)")
     p.add_argument("chain")
     p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
     p.set_defaults(fn=cmd_cycles)

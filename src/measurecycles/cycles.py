@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import MeasureChainError, NotACycle, PeriodMismatch
-from .kernels import Kernel, StochasticKernel
+from .kernels import DeterministicKernel, Kernel, StochasticKernel
 from .measures import Measure
+from .polynomials import Polynomial, _real_roots
 from .rationals import parse_rational
-from .sets import SetExpr
+from .sets import Interval, SetExpr
 
 
 class CycleKind(Enum):
@@ -93,31 +94,20 @@ class Cycle:
         return "(" + ", ".join(str(m) for m in self.coords) + ")"
 
 
-def find_cycle_from(
-    kernel: Kernel, seed: Measure, max_steps: int, images: Optional[dict[Measure, Measure]] = None
-) -> Optional[Cycle]:
+def find_cycle_from(kernel: Kernel, seed: Measure, max_steps: int) -> Optional[Cycle]:
     """Push the seed until an exact repeat closes a cycle; return that cycle
     already in canonical rotation, or None if none closes within max_steps or
-    a push leaves the space.
-
-    `images` maps measures to their pushes under this kernel.  It is read
-    before each push and extended after it, so calls that share one table
-    push each measure at most once between them.
-    """
-    images = {} if images is None else images
+    a push leaves the space."""
     seen: dict[Measure, int] = {}  # the orbit so far, in order, with positions
     current = seed
     for _ in range(max_steps + 1):
         if current in seen:
             return Cycle(kernel, _least_rotation(tuple(seen)[seen[current]:]))
         seen[current] = len(seen)
-        image = images.get(current)
-        if image is None:
-            try:
-                image = images[current] = kernel.push_measure(current)
-            except MeasureChainError:
-                return None
-        current = image
+        try:
+            current = kernel.push_measure(current)
+        except MeasureChainError:
+            return None
     return None
 
 
@@ -265,7 +255,8 @@ def linearly_independent(measures: Sequence[Measure]) -> bool:
 
 
 def _boundary_seeds(S: SetExpr, values: Iterable[Fraction]) -> list[Measure]:
-    """The atom and the one-sided germs at each value, wherever S holds them."""
+    """The atom and the one-sided germs at each value, then the masses at
+    infinity, wherever S holds them."""
     seeds: list[Measure] = []
     for v in values:
         if S.contains_point(v):
@@ -274,6 +265,10 @@ def _boundary_seeds(S: SetExpr, values: Iterable[Fraction]) -> list[Measure]:
             seeds.append(Measure.right_germ(v))
         if S.contains_left_neighborhood(v):
             seeds.append(Measure.left_germ(v))
+    if S.contains_plus_tail():
+        seeds.append(Measure.at_plus_infinity())
+    if S.contains_minus_tail():
+        seeds.append(Measure.at_minus_infinity())
     return seeds
 
 
@@ -291,22 +286,48 @@ def _class_cycles(kernel: StochasticKernel) -> list[tuple[Measure, ...]]:
     return cycles
 
 
-def canonical_seeds(kernel: Kernel) -> list[Measure]:
-    """Seeds for the piecewise cycle search, and measures for the check battery.
+def _periodic_generators(kernel: DeterministicKernel, m: int) -> list[Cycle]:
+    """The orbits, as cycles, of every generator of a map on a periodic orbit
+    of period <= m at a rational location.
 
-    Finite chains: an atom per state, then the coordinates of each class cycle.
-    Piecewise kernels: atoms and one-sided germs at every piece boundary value
-    that the space supports, plus infinity masses for unbounded spaces.
+    An orbit follows a closed walk of pieces, i -> j when the image of piece i
+    meets piece j (a germ's one-sided neighbourhood maps into it too); from
+    its least piece s the walk stays on pieces >= s.  The orbit's location in
+    piece s is then a root of P(x) - x, P the walk's pieces composed, inside
+    the piece or at an end (only an end when P(x) = x); the masses at infinity
+    that piece s holds need no root.
     """
+    pieces, n = kernel.pieces, len(kernel.pieces)
+    held = [SetExpr((comp,)) for comp, _ in pieces]
+    edges = [[j for j in range(n) if image.intersects(held[j])] for image in kernel._images]
+    seeds: dict[Measure, None] = {}
+    for s, (comp, poly) in enumerate(pieces):
+        back, frontier = {}, [s]  # back[i]: the fewest edges from i to s over pieces >= s
+        for d in range(1, m + 1):
+            frontier = [i for i in range(s, n) if i not in back and set(edges[i]) & set(frontier)]
+            back.update(dict.fromkeys(frontier, d))
+        walks = [(s, poly, 1)] if s in back else []  # last piece, composition, length
+        while walks:
+            i, composed, k = walks.pop()
+            if back[i] == 1:
+                fixed = composed - Polynomial.identity()
+                roots = [e for e in held[s].finite_boundary_values() if fixed(e) == 0]
+                if isinstance(comp, Interval) and not fixed.is_zero():
+                    roots += _real_roots(fixed, comp.lo, comp.hi)[0]
+                seeds.update(dict.fromkeys(_boundary_seeds(held[s], roots)))
+            walks += [(j, pieces[j][1].compose(composed), k + 1)
+                      for j in edges[i] if j >= s and k + back.get(j, m) <= m]
+    return [c for c in (find_cycle_from(kernel, seed, m) for seed in seeds) if c is not None]
+
+
+def canonical_seeds(kernel: Kernel) -> list[Measure]:
+    """Measures for the check battery: for a finite chain an atom per state,
+    then the coordinates of each class cycle; for a map the atoms, germs and
+    masses at infinity that the space holds at its piece boundaries."""
     if isinstance(kernel, StochasticKernel):
         atoms = [Measure.dirac(s) for s in kernel.states]
         return atoms + [m for coords in _class_cycles(kernel) for m in coords]
-    seeds = _boundary_seeds(kernel.space, kernel._partition.cuts)
-    if kernel.space.contains_plus_tail():
-        seeds.append(Measure.at_plus_infinity())
-    if kernel.space.contains_minus_tail():
-        seeds.append(Measure.at_minus_infinity())
-    return seeds
+    return _boundary_seeds(kernel.space, kernel._partition.cuts)
 
 
 def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
@@ -320,26 +341,22 @@ def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
     the class cycles are listed.  So the mixtures that atoms of transient or
     recurrent states close into (some of rank below their period) are not, nor
     is the period-2 cycle (pi_0 + pi_2, pi_1 + pi_3) of a period-4 class.
-    Piecewise kernels: the distinct cycles that close within 4m+8 pushes,
-    m = max_period, from a boundary seed of `canonical_seeds`; cycles that no
-    such seed reaches are not listed.  Each seed runs through
-    `find_cycle_from`, and all of them share one image table that lives for
-    this call only: a seed that enters an orbit another seed has walked reads
-    the images there instead of pushing again.  Every cycle returned is still
-    verified with fresh pushes when it is built.
+
+    Maps (`_periodic_generators`): every cycle of period <= m = max_period
+    that is one generator's orbit at rational locations.  A push sends each
+    generator to one generator, so every cycle of a map is a nonnegative
+    combination of such orbits.  Not listed: irrational periodic points, and
+    the interior of a continuum cell (a closed walk composing to the
+    identity), of which only the orbits at the piece ends are.  Cost: one
+    composition and one root isolation per closed walk of length <= m, each
+    of degree at most d^m, d the largest piece degree.
     """
     if isinstance(kernel, StochasticKernel):
         cycles = (
             Cycle(kernel, _least_rotation(c)) for c in _class_cycles(kernel) if len(c) <= max_period
         )
     else:
-        images: dict[Measure, Measure] = {}
-        cycles = (
-            find_cycle_from(kernel, s, 4 * max_period + 8, images) for s in canonical_seeds(kernel)
-        )
+        cycles = _periodic_generators(kernel, max_period)
     # canonical rotations are equal exactly when their serial keys are
-    found: dict[tuple[Measure, ...], Cycle] = {}
-    for cycle in cycles:
-        if cycle is not None and cycle.period <= max_period:
-            found.setdefault(cycle.coords, cycle)
+    found = {cycle.coords: cycle for cycle in cycles}
     return sorted(found.values(), key=lambda c: (c.period, _serial_key(c.coords)))

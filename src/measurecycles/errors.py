@@ -69,7 +69,7 @@ class KernelValidationError(MeasureChainError, ValueError):
 
 
 class NoRepresentableInvariant(MeasureChainError):
-    """The fixed-point search exhausted its budget without stabilizing."""
+    """No cycle that the enumeration lists starts in the state cycle's first set."""
 
 
 class NotSingular(MeasureChainError):

@@ -123,33 +123,24 @@ class Polynomial:
     __rmul__ = __mul__
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        acc = Polynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.of(c)
-        return acc
+        """p(inner(x)) by Horner's rule over the integers: with p = a / D and
+        inner = b / E, the sum of a_k b^k E^(n-k) is D E^n p(inner)."""
+        if self.is_zero() or inner.is_constant():
+            return Polynomial.constant(self(inner.leading()))
+        (nums, den), (inner_nums, inner_den) = self._numerators, inner._numerators
+        acc, power = [nums[-1]], 1
+        for c in reversed(nums[:-1]):
+            power *= inner_den
+            product = [0] * (len(acc) + len(inner_nums) - 1)
+            for i, a in enumerate(acc):
+                for j, b in enumerate(inner_nums):
+                    product[i + j] += a * b
+            product[0] += c * power
+            acc = product
+        return Polynomial(tuple(Fraction(c, den * power) for c in acc))
 
     def derivative(self) -> "Polynomial":
         return Polynomial.of(*(c * k for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree()
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quot[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return Polynomial.of(*quot), Polynomial.of(*rem)
 
     def __str__(self) -> str:
         if self.is_zero():

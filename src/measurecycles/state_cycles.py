@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import Cycle, _boundary_seeds, row_reduce
+from .cycles import Cycle, enumerate_cycles, row_reduce
 from .errors import (
     InvariantViolation,
     IrrationalRootBoundary,
@@ -231,16 +231,16 @@ def _transient_among(kernel: StochasticKernel, infos: list[RecurrentClassInfo]) 
     return [s for s in kernel.states if s not in recurrent]
 
 
-_FIXED_POINT_BUDGET = 64
-
-
 def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
     """The measure cycle a singular state cycle supports.
 
     Finite chains: the exact invariant vector of the m-step matrix restricted
     to D_1 (averaged over its recurrent classes when the restriction is
-    reducible).  Piecewise kernels: a germ/atom seed inside D_1 iterated by the
-    m-step pushforward until its representation is exactly fixed.
+    reducible).  Maps: of the cycles `enumerate_cycles` lists, each rotated to
+    its coordinate with mass 1 on D_1, the one whose first generator is least
+    by (location, kind rank); NoRepresentableInvariant when none has such a
+    coordinate, e.g. when the periodic points in D_1 are irrational or inside
+    a continuum cell.
     """
     if not cycle.singular:
         raise NotSingular("the state cycle's sets must be pairwise disjoint")
@@ -263,24 +263,15 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
             (g, c / len(classes)) for info in classes for g, c in info.invariant.terms
         )
     else:
-        first = None
-        D = cycle.sets[0]
-        for seed in _boundary_seeds(D, D.finite_boundary_values()):
-            current = seed
-            for _ in range(_FIXED_POINT_BUDGET):
-                nxt = current
-                for _ in range(m):
-                    nxt = kernel.push_measure(nxt)
-                if nxt == current:
-                    first = current
-                    break
-                current = nxt
-            if first is not None:
-                break
-        if first is None:
+        # a cycle through D_1 has period m, as the sets are disjoint
+        found = enumerate_cycles(kernel, m)
+        starts = [mu for c in found for mu in c.coords if mu.evaluate(cycle.sets[0]) == 1]
+        if not starts:
             raise NoRepresentableInvariant(
-                f"no representable fixed measure emerged within {_FIXED_POINT_BUDGET} steps"
+                f"no cycle of period {m} at rational locations starts in the first set"
             )
+        # (location, kind rank), a mass at infinity read at location 0
+        first = min(starts, key=lambda mu: mu.terms[0][0].sort_key()[::-1])
     coords = [first]
     for _ in range(m - 1):
         coords.append(kernel.push_measure(coords[-1]))

@@ -1,8 +1,11 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
 
 from measurecycles import (
     Cycle,
@@ -188,8 +191,8 @@ def test_class_cycles_span_every_closed_atom_seed():
 
 
 def untabled_cycles(kernel, max_period):
-    """The piecewise search without a shared image table: one fresh
-    `find_cycle_from` per seed, deduplicated on the serial key."""
+    """The boundary-seed search: one `find_cycle_from` of 4m+8 pushes per
+    seed of `canonical_seeds`, deduplicated on the serial key."""
     found = {}
     for seed in canonical_seeds(kernel):
         cycle = find_cycle_from(kernel, seed, 4 * max_period + 8)
@@ -214,28 +217,160 @@ def test_shared_image_table_finds_the_untabled_cycles():
     bundled = [load_bundled(name).kernel for name in ["interval_squares", "interval_squares_closed"]]
     for k in conveyors + bundled + [reflection_kernel()]:
         for m in sorted({1, 2, len(k.pieces)}):
-            got = enumerate_cycles(k, m)
-            assert [c.coords for c in got] == [c.coords for c in untabled_cycles(k, m)]
+            got = {c.coords for c in enumerate_cycles(k, m)}
+            assert {c.coords for c in untabled_cycles(k, m)} <= got
+    half = F(1, 2)
     assert [c.coords for c in enumerate_cycles(reflection_kernel(), 6)] == [
+        (Measure.dirac(half),),
         (Measure.dirac(F(0)), Measure.dirac(F(1))),
         (Measure.left_germ(F(1)), Measure.right_germ(F(0))),
+        (Measure.left_germ(half), Measure.right_germ(half)),
     ]
 
 
-def test_find_cycle_from_reads_and_extends_the_table():
-    k = closed_kernel()
-    images = {}
-    first = find_cycle_from(k, Measure.right_germ(F(1)), 16, images)
-    assert first.coords == (Measure.right_germ(F(0)), Measure.right_germ(F(1)))
-    assert images and all(k.push_measure(m) == image for m, image in images.items())
-    walked = dict(images)
-    # a seed inside the walked orbit pushes nothing new
-    assert find_cycle_from(k, Measure.right_germ(F(0)), 16, images) == first
-    assert images == walked
-    # the search reads the table, but the cycle it closes is verified by pushing
-    wrong = {Measure.right_germ(F(0)): Measure.right_germ(F(0))}
-    with pytest.raises(NotACycle):
-        find_cycle_from(k, Measure.right_germ(F(0)), 16, wrong)
+def test_reflection_lists_its_fixed_atom_and_the_ends_of_its_continuum_cell():
+    # the walk of length 2 composes to the identity: every x lies on a 2-cycle,
+    # and only the orbits at the piece ends 0 and 1 are listed
+    k = reflection_kernel()
+    assert [c.coords for c in enumerate_cycles(k, 1)] == [(Measure.dirac(F(1, 2)),)]
+    assert [c.period for c in enumerate_cycles(k, 2)] == [1, 2, 2, 2]
+
+
+def parabola_kernel():
+    """x -> 1 - x^2/2 on [0, 1]: its fixed point sqrt(3) - 1 is irrational."""
+    unit = Interval(F(0), F(1), True, True)
+    return DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, 0, F(-1, 2))),))
+
+
+def test_a_map_without_rational_periodic_points_returns_at_once():
+    # the boundary-seed search pushed the atom 0 through 1, 1/2, 7/8, ...,
+    # doubling the bit length of the location at every push
+    start = time.process_time()
+    assert enumerate_cycles(parabola_kernel(), 4) == []
+    assert time.process_time() - start < 2
+
+
+def test_six_piece_conveyor_lists_its_base_cycles():
+    # in the seed search, left germs drifted inside the pieces, and every
+    # quadratic push doubled the bit length of their locations
+    polys = [
+        Polynomial.of(1, F(1, 3)),
+        Polynomial.of(F(9, 4), F(-1, 2), F(1, 4)),
+        Polynomial.of(4, -1, F(1, 4)),
+        Polynomial.of(F(13, 4), F(1, 4)),
+        Polynomial.of(21, -8, 1),
+        Polynomial.of(25, -10, 1),
+    ]
+    pieces = tuple((Interval(F(i), F(i + 1), True, False), p) for i, p in enumerate(polys))
+    k = DeterministicKernel(SetExpr.interval(0, 6, True, False), pieces)
+    start = time.process_time()
+    found = enumerate_cycles(k, 6)
+    assert time.process_time() - start < 2
+    assert [c.coords for c in found] == [
+        tuple(Measure.dirac(F(i)) for i in range(6)),
+        tuple(Measure.right_germ(F(i)) for i in range(6)),
+    ]
+
+
+def test_the_line_and_a_ray_list_their_masses_at_infinity():
+    # x -> -x on the line has no piece boundary at all; x -> x + 1 only drifts
+    line = Interval(None, None)
+    k = DeterministicKernel(SetExpr((line,)), ((line, Polynomial.of(0, -1)),))
+    assert [c.coords for c in enumerate_cycles(k, 2)] == [
+        (Measure.dirac(F(0)),),
+        (Measure.left_germ(F(0)), Measure.right_germ(F(0))),
+        (Measure.at_minus_infinity(), Measure.at_plus_infinity()),
+    ]
+    ray = Interval(F(0), None, True)
+    k = DeterministicKernel(SetExpr((ray,)), ((ray, Polynomial.of(1, 1)),))
+    assert [c.coords for c in enumerate_cycles(k, 3)] == [(Measure.at_plus_infinity(),)]
+
+
+X = sympy.Symbol("x")
+
+
+def random_unit_map(rng):
+    """A map of [0, 1] with one to three pieces.  Each piece runs monotonically
+    onto [a, b], a < b on the grid of eighths, mostly downwards; it is affine
+    or a parabola whose vertex is the piece's left end."""
+    cuts = sorted(rng.sample([F(k, 6) for k in range(1, 6)], rng.randint(0, 2)))
+    ends = [F(0), *cuts, F(1)]
+    pieces = []
+    for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        a, b = sorted(rng.sample([F(k, 8) for k in range(9)], 2))
+        start, stop = (b, a) if rng.random() < 0.7 else (a, b)
+        t = Polynomial.of(-lo / (hi - lo), 1 / (hi - lo))
+        shape = t if rng.random() < 0.6 else t * t
+        poly = Polynomial.constant(start) + shape * (stop - start)
+        pieces.append((Interval(lo, hi, True, j == len(ends) - 2), poly))
+    return DeterministicKernel(SetExpr.interval(0, 1, True, True), tuple(pieces))
+
+
+def sympy_atom_cycles(kernel, m):
+    """Rational periodic points of period <= m, by sympy over every sequence of
+    pieces, each orbit as its locations from the least; None when a sequence
+    composes to the identity."""
+    polys = [
+        sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], X)
+        for _, p in kernel.pieces
+    ]
+    comps = [comp for comp, _ in kernel.pieces]
+
+    def piece_of(x):
+        held = (i for i, c in enumerate(comps) if c.lo <= x < c.hi or c.hi_closed and x == c.hi)
+        return next(held, None)
+
+    orbits = set()
+    for k in range(1, m + 1):
+        for seq in itertools.product(range(len(polys)), repeat=k):
+            composed = sympy.Poly(X, X)
+            for i in seq:
+                composed = polys[i].compose(composed)
+            fixed = composed - sympy.Poly(X, X)
+            if fixed.is_zero:
+                return None
+            for root in fixed.ground_roots():
+                orbit = [root]
+                for i in seq:
+                    if piece_of(orbit[-1]) != i:
+                        break
+                    orbit.append(polys[i].eval(orbit[-1]))
+                else:
+                    orbit = [F(int(x.p), int(x.q)) for x in orbit[: orbit.index(root, 1)]]
+                    least = orbit.index(min(orbit))
+                    orbits.add(tuple(orbit[least:] + orbit[:least]))
+    return orbits
+
+
+def test_enumeration_is_complete_on_random_maps_without_continuum_cells():
+    rng = random.Random(1313)
+    grid = sorted({F(p, q) for q in range(1, 25) for p in range(q + 1)})
+    kernels, interior, periods = 0, 0, set()
+    while kernels < 30:
+        k = random_unit_map(rng)
+        m = rng.randint(2, 4)
+        expected = sympy_atom_cycles(k, m)
+        if expected is None:
+            continue
+        kernels += 1
+        listed = enumerate_cycles(k, m)
+        # every grid seed whose orbit closes within m pushes closes on a listed cycle
+        coords = {c.coords for c in listed}
+        seeds = [Measure.dirac(x) for x in grid] + [Measure.right_germ(x) for x in grid[:-1]]
+        for seed in seeds + [Measure.left_germ(x) for x in grid[1:]]:
+            closed = find_cycle_from(k, seed, m)
+            assert closed is None or closed.coords in coords
+        # the atom cycles are exactly the rational periodic orbits
+        atoms = set()
+        for c in listed:
+            if c.classify() is CycleKind.COUNTABLY_ADDITIVE:
+                orbit = [mu.atom_support()[0] for mu in c.coords]
+                least = orbit.index(min(orbit))
+                atoms.add(tuple(orbit[least:] + orbit[:least]))
+        assert atoms == expected
+        interior += sum(x not in k._partition.cuts for orbit in atoms for x in orbit)
+        periods.update(c.period for c in listed)
+    assert interior >= 10 and periods == {1, 2, 3, 4}
 
 
 def test_least_rotation_is_the_least_serialized_rotation():

@@ -29,15 +29,6 @@ def test_ring_operations_evaluate_pointwise(p, q, x):
     assert p.compose(q)(x) == p(q(x))
 
 
-@given(polys, polys)
-def test_division_identity(p, d):
-    if d.is_zero():
-        return
-    q, r = divmod(p, d)
-    assert q * d + r == p
-    assert r.is_zero() or r.degree() < d.degree()
-
-
 @given(polys, points)
 def test_derivative_of_product(p, x):
     q = Polynomial.of(1, 2)  # 1 + 2x

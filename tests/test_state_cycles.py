@@ -5,8 +5,10 @@ import pytest
 
 from measurecycles import (
     Cycle,
+    DeterministicKernel,
     Generator,
     GeneratorKind,
+    Interval,
     Measure,
     Point,
     SetExpr,
@@ -24,6 +26,7 @@ from measurecycles import (
 from measurecycles import PiecewisePolyFunction, Polynomial
 from measurecycles.errors import (
     IrrationalCriticalPoint,
+    NoRepresentableInvariant,
     NotCountablyAdditive,
     NotDisjoint,
     NotFiniteChain,
@@ -282,6 +285,29 @@ def test_atom_state_cycle_on_closed_chain():
     cycle = measures_from_state_cycle(spec.kernel, sc)
     assert cycle.coords == (Measure.dirac(F(0)), Measure.dirac(F(1)))
     assert state_cycle_equal(state_cycle_from_measures(cycle), sc)
+
+
+def test_no_rational_cycle_in_the_first_set_raises():
+    # x -> 1 - x^2/2 maps [0, 1] into itself, but its fixed point is irrational
+    unit = Interval(F(0), F(1), True, True)
+    k = DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, 0, F(-1, 2))),))
+    with pytest.raises(NoRepresentableInvariant):
+        measures_from_state_cycle(k, StateCycle((SetExpr((unit,)),)))
+
+
+def test_reflection_state_cycles_take_the_least_listed_start():
+    # x -> 1 - x on [0, 1]
+    unit = Interval(F(0), F(1), True, True)
+    k = DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, -1)),))
+    half = F(1, 2)
+    fixed = measures_from_state_cycle(k, StateCycle((points(half),)))
+    assert fixed.coords == (Measure.dirac(half),)
+    # three listed 2-cycles start in [0, 1/2); the atom at 0 is least
+    sc = StateCycle((SetExpr.interval(0, half, True), SetExpr.interval(half, 1, False, True)))
+    assert measures_from_state_cycle(k, sc).coords == (Measure.dirac(F(0)), Measure.dirac(F(1)))
+    sc = StateCycle((SetExpr.interval(F(1, 4), half), SetExpr.interval(half, F(3, 4))))
+    germs = (Measure.left_germ(half), Measure.right_germ(half))
+    assert measures_from_state_cycle(k, sc).coords == germs
 
 
 def test_measures_require_singular_state_cycle():
