@@ -94,6 +94,14 @@ class Cycle:
         return "(" + ", ".join(str(m) for m in self.coords) + ")"
 
 
+def _orbit(kernel: Kernel, mu: Measure, n: int) -> list[Measure]:
+    """mu and its first n pushes."""
+    orbit = [mu]
+    for _ in range(n):
+        orbit.append(kernel.push_measure(orbit[-1]))
+    return orbit
+
+
 def find_cycle_from(kernel: Kernel, seed: Measure, max_steps: int) -> Optional[Cycle]:
     """Push the seed until an exact repeat closes a cycle; return that cycle
     already in canonical rotation, or None if none closes within max_steps or
@@ -277,13 +285,10 @@ def _class_cycles(kernel: StochasticKernel) -> list[tuple[Measure, ...]]:
     invariant on the first cyclic subclass and its d - 1 pushes."""
     from .state_cycles import find_cyclic_classes
 
-    cycles = []
-    for info in find_cyclic_classes(kernel):
-        coords = [info.subclass_invariant]
-        for _ in range(info.period - 1):
-            coords.append(kernel.push_measure(coords[-1]))
-        cycles.append(tuple(coords))
-    return cycles
+    return [
+        tuple(_orbit(kernel, info.subclass_invariant, info.period - 1))
+        for info in find_cyclic_classes(kernel)
+    ]
 
 
 def _periodic_generators(kernel: DeterministicKernel, m: int) -> list[Cycle]:

@@ -69,7 +69,7 @@ class KernelValidationError(MeasureChainError, ValueError):
 
 
 class NoRepresentableInvariant(MeasureChainError):
-    """No cycle that the enumeration lists starts in the state cycle's first set."""
+    """No listed cycle, nor a returning boundary germ or atom, starts in the first set."""
 
 
 class NotSingular(MeasureChainError):

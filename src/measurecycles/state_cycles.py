@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import Cycle, enumerate_cycles, row_reduce
+from .cycles import Cycle, _boundary_seeds, _orbit, enumerate_cycles, row_reduce
 from .errors import (
     InvariantViolation,
     IrrationalRootBoundary,
@@ -237,10 +237,11 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
     Finite chains: the exact invariant vector of the m-step matrix restricted
     to D_1 (averaged over its recurrent classes when the restriction is
     reducible).  Maps: of the cycles `enumerate_cycles` lists, each rotated to
-    its coordinate with mass 1 on D_1, the one whose first generator is least
-    by (location, kind rank); NoRepresentableInvariant when none has such a
-    coordinate, e.g. when the periodic points in D_1 are irrational or inside
-    a continuum cell.
+    its coordinate with mass 1 on D_1, and the atoms and germs at the
+    boundary of D_1 that m pushes bring back (inside a continuum cell, which
+    the enumeration leaves out), the one whose first generator is least by
+    (location, kind rank); NoRepresentableInvariant when there is none, e.g.
+    when the periodic points in D_1 are irrational.
     """
     if not cycle.singular:
         raise NotSingular("the state cycle's sets must be pairwise disjoint")
@@ -253,29 +254,27 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
         states = tuple(s for s in kernel.states if cycle.sets[0].contains_point(s))
         rows = []
         for s in states:
-            mu = Measure.dirac(s)
-            for _ in range(m):
-                mu = kernel.push_measure(mu)
-            mass = {g.location: c for g, c in mu.terms}
+            mass = {g.location: c for g, c in _orbit(kernel, Measure.dirac(s), m)[-1].terms}
             rows.append(tuple(mass.get(t, Fraction(0)) for t in states))
         classes = find_cyclic_classes(StochasticKernel(states, tuple(rows)))
         first = Measure.from_terms(
             (g, c / len(classes)) for info in classes for g, c in info.invariant.terms
         )
     else:
-        # a cycle through D_1 has period m, as the sets are disjoint
+        # a cycle through D_1 has period m, as the sets are disjoint; the
+        # boundary seeds of D_1 add the orbits inside a continuum cell
+        D = cycle.sets[0]
         found = enumerate_cycles(kernel, m)
-        starts = [mu for c in found for mu in c.coords if mu.evaluate(cycle.sets[0]) == 1]
+        starts = [mu for c in found for mu in c.coords if mu.evaluate(D) == 1]
+        seeds = _boundary_seeds(D, D.finite_boundary_values())
+        starts += [seed for seed in seeds if _orbit(kernel, seed, m)[-1] == seed]
         if not starts:
             raise NoRepresentableInvariant(
                 f"no cycle of period {m} at rational locations starts in the first set"
             )
         # (location, kind rank), a mass at infinity read at location 0
         first = min(starts, key=lambda mu: mu.terms[0][0].sort_key()[::-1])
-    coords = [first]
-    for _ in range(m - 1):
-        coords.append(kernel.push_measure(coords[-1]))
-    result = Cycle(kernel, tuple(coords))
+    result = Cycle(kernel, tuple(_orbit(kernel, first, m - 1)))
     for i, mu in enumerate(result.coords):
         for j, D in enumerate(cycle.sets):
             expected = Fraction(1 if i == j else 0)

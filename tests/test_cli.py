@@ -256,6 +256,33 @@ def test_check_reports_a_declared_state_cycle_that_does_not_verify(tmp_path, cap
     assert captured.err == ""
 
 
+def test_check_passes_a_state_cycle_inside_a_continuum_cell(tmp_path, capsys):
+    # x -> 1 - x on [0, 1]; (1/4, 1/3) holds no listed cycle, only germs that return
+    interval = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True}
+    path = tmp_path / "reflection.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "reflection",
+                "kind": "deterministic",
+                "space": [interval],
+                "pieces": [{"piece": interval, "poly_coeffs": ["1", "-1"]}],
+                "state_cycles": [
+                    {
+                        "sets": [
+                            [{"lo": "1/4", "hi": "1/3", "lo_closed": False, "hi_closed": False}],
+                            [{"lo": "2/3", "hi": "3/4", "lo_closed": False, "hi_closed": False}],
+                        ]
+                    }
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["check", "--max-period", "2", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"check {n}: PASS" for n in CHECK_NAMES]
+
+
 def test_check_searches_cycles_once(monkeypatch, capsys):
     calls = []
     search = cli.enumerate_cycles

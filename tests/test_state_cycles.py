@@ -295,7 +295,7 @@ def test_no_rational_cycle_in_the_first_set_raises():
         measures_from_state_cycle(k, StateCycle((SetExpr((unit,)),)))
 
 
-def test_reflection_state_cycles_take_the_least_listed_start():
+def test_reflection_state_cycles_take_the_least_start():
     # x -> 1 - x on [0, 1]
     unit = Interval(F(0), F(1), True, True)
     k = DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, -1)),))
@@ -305,9 +305,21 @@ def test_reflection_state_cycles_take_the_least_listed_start():
     # three listed 2-cycles start in [0, 1/2); the atom at 0 is least
     sc = StateCycle((SetExpr.interval(0, half, True), SetExpr.interval(half, 1, False, True)))
     assert measures_from_state_cycle(k, sc).coords == (Measure.dirac(F(0)), Measure.dirac(F(1)))
+    # the listed germ cycle at 1/2 starts in (1/4, 1/2), but the returning
+    # right germ at the boundary point 1/4 is less
     sc = StateCycle((SetExpr.interval(F(1, 4), half), SetExpr.interval(half, F(3, 4))))
-    germs = (Measure.left_germ(half), Measure.right_germ(half))
+    germs = (Measure.right_germ(F(1, 4)), Measure.left_germ(F(3, 4)))
     assert measures_from_state_cycle(k, sc).coords == germs
+
+
+def test_state_cycle_inside_a_continuum_cell_starts_at_its_boundary():
+    # x -> 1 - x on [0, 1]: every point is periodic, so no listed cycle lies
+    # in (1/4, 1/3); the right germ at 1/4 comes back after two pushes
+    unit = Interval(F(0), F(1), True, True)
+    k = DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, -1)),))
+    sc = StateCycle((SetExpr.interval(F(1, 4), F(1, 3)), SetExpr.interval(F(2, 3), F(3, 4))))
+    cycle = measures_from_state_cycle(k, sc)
+    assert cycle.coords == (Measure.right_germ(F(1, 4)), Measure.left_germ(F(3, 4)))
 
 
 def test_measures_require_singular_state_cycle():
