@@ -8,7 +8,7 @@
 
 CHAIN is a path to a chain JSON file, or the name of a bundled chain.  Exit
 codes: 0 success, 1 validation failure, 2 invariant/check failure, 3 I/O.
-Output is byte-deterministic for a fixed chain and flags.  With m the
+Output is byte-deterministic for a fixed chain and flags.  With m >= 1 the
 --max-period, `cycles` lists one class cycle per recurrent class of period
 <= m of a finite chain, not their mixtures, and every orbit of period <= m
 of one generator of a piecewise map at rational locations, bar the interior
@@ -447,6 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "max_period", 1) < 1:  # shared by `cycles` and `check`
+        print("error: --max-period must be at least 1", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         code = args.fn(args, sys.stdout, sys.stderr)
         sys.stdout.flush()

@@ -84,9 +84,6 @@ class Cycle:
     def decompose(self) -> "DecomposedCycle":
         return decompose_cycle(self)
 
-    def is_linearly_independent(self) -> bool:
-        return linearly_independent(self.coords)
-
     def to_json_obj(self) -> dict:
         return {"period": self.period, "coords": [m.to_json_obj() for m in self.coords]}
 
@@ -127,7 +124,7 @@ def cycle_sum(a: Cycle, b: Cycle) -> Cycle:
     return Cycle(a.kernel, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
 
-def _rotations(coords: tuple[Measure, ...]) -> Iterable[tuple[Measure, ...]]:
+def _rotations(coords: tuple) -> Iterable[tuple]:
     for r in range(len(coords)):
         yield coords[r:] + coords[:r]
 

@@ -92,10 +92,13 @@ class PiecewisePolyFunction:
 
     # -- exact range ----------------------------------------------------------
 
-    def image(self) -> SetExpr:
+    def image(self, D: Optional[SetExpr] = None) -> SetExpr:
+        """Exact image of D, the whole space by default: each piece
+        polynomial's image over the piece's overlap with D."""
         comps = []
         for comp, poly in self.pieces:
-            comps.extend(polynomial_image(poly, comp))
+            for sub in (comp,) if D is None else (SetExpr((comp,)) & D).components:
+                comps.extend(polynomial_image(poly, sub))
         return SetExpr.from_components(comps)
 
     def check_range(self, lo, hi) -> None:

@@ -10,9 +10,10 @@ Two kernel variants share one interface:
   rational matrix.
 
 ``push_measure`` is the pushforward on measures (one body for both, summing
-the images ``push_generator`` gives), ``pull_function`` the
-composition action on observables; ``integrate(pull_function(f), mu) ==
-integrate(f, push_measure(mu))`` holds exactly.
+the images ``push_generator`` gives), ``transition_prob`` a pushed atom read
+on a set, ``pull_function`` the composition action on observables;
+``integrate(pull_function(f), mu) == integrate(f, push_measure(mu))`` holds
+exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def _push_measure(kernel: Kernel, mu: Measure) -> Measure:
     return Measure.from_terms(
         (g, coeff * c) for gen, coeff in mu.terms for g, c in kernel.push_generator(gen).terms
     )
+
+
+def _transition_prob(kernel: Kernel, x: Fraction, E: SetExpr) -> Fraction:
+    """p(x, E) = (delta_x P)(E), the pushed atom read on E; PointEscapesSpace
+    when x is not a point of the space (on a finite chain, not a state)."""
+    return kernel.push_generator(Generator(GeneratorKind.ATOM, x)).evaluate(E)
 
 
 _ONE = Fraction(1)
@@ -93,9 +100,6 @@ class DeterministicKernel(PiecewisePolyFunction):
         if not self.space.contains_point(y):
             raise PointEscapesSpace(f"{x} maps to {y}, which is outside the space")
         return y
-
-    def transition_prob(self, x: Fraction, E: SetExpr) -> Fraction:
-        return Fraction(1) if E.contains_point(self.map_point(x)) else Fraction(0)
 
     def _germ(self, side: GeneratorKind, location: Fraction) -> Measure:
         if not self.space.contains(side.value, location):
@@ -140,6 +144,7 @@ class DeterministicKernel(PiecewisePolyFunction):
         return self._push_infinity(gen)
 
     push_measure = _push_measure
+    transition_prob = _transition_prob
 
     # -- action on observables -----------------------------------------------------
 
@@ -214,11 +219,10 @@ class StochasticKernel:
         except ValueError:
             raise PointEscapesSpace(f"{x} is not a state") from None
 
-    def transition_prob(self, x: Fraction, E: SetExpr) -> Fraction:
-        row = self.matrix[self.state_index(x)]
-        return sum(
-            (p for s, p in zip(self.states, row) if E.contains_point(s)), Fraction(0)
-        )
+    def image(self, D: SetExpr) -> SetExpr:
+        """The states that the states of D reach in one step."""
+        rows = (row for s, row in zip(self.states, self.matrix) if D.contains_point(s))
+        return SetExpr.from_components(Point(t) for r in rows for t, p in zip(self.states, r) if p)
 
     def push_generator(self, gen: Generator) -> Measure:
         if gen.kind is not GeneratorKind.ATOM:
@@ -233,6 +237,7 @@ class StochasticKernel:
         )
 
     push_measure = _push_measure
+    transition_prob = _transition_prob
 
     def pull_function(self, f: PiecewisePolyFunction) -> PiecewisePolyFunction:
         values = {s: f.value_at(s) for s in self.states}

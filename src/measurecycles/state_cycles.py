@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import Cycle, _boundary_seeds, _orbit, enumerate_cycles, row_reduce
+from .cycles import Cycle, _boundary_seeds, _orbit, _rotations, enumerate_cycles, row_reduce
 from .errors import (
     InvariantViolation,
     IrrationalRootBoundary,
@@ -26,9 +26,9 @@ from .errors import (
     NotSingular,
 )
 from .functions import PiecewisePolyFunction, integrate
-from .kernels import DeterministicKernel, Kernel, StochasticKernel
+from .kernels import Kernel, StochasticKernel
 from .measures import Generator, GeneratorKind, Measure
-from .polynomials import Polynomial, interior_rational_roots, polynomial_image, split_interval
+from .polynomials import Polynomial, interior_rational_roots, split_interval
 from .sets import Point, SetExpr
 
 
@@ -56,10 +56,6 @@ class StateCycle:
             for b in self.sets[i + 1 :]
         )
 
-    def rotations(self):
-        for r in range(len(self.sets)):
-            yield StateCycle(self.sets[r:] + self.sets[:r])
-
     def to_json_obj(self) -> dict:
         return {"singular": self.singular, "sets": [s.to_json_obj() for s in self.sets]}
 
@@ -68,39 +64,19 @@ class StateCycle:
 
 
 def state_cycle_equal(a: StateCycle, b: StateCycle) -> bool:
-    return any(rot.sets == b.sets for rot in a.rotations())
-
-
-def _deterministic_set_image(kernel: DeterministicKernel, D: SetExpr) -> SetExpr:
-    """Exact image of D under the piecewise map (monotone subdivision)."""
-    comps = []
-    for comp, poly in kernel.pieces:
-        overlap = SetExpr((comp,)) & D
-        for sub in overlap.components:
-            comps.extend(polynomial_image(poly, sub))
-    return SetExpr.from_components(comps)
+    return any(rot == b.sets for rot in _rotations(a.sets))
 
 
 def verify_state_cycle(kernel: Kernel, cycle: StateCycle) -> bool:
-    """Check p(x, D_{i+1}) = 1 for every x in D_i, exactly."""
-    m = cycle.period
-    if isinstance(kernel, StochasticKernel):
-        for i, D in enumerate(cycle.sets):
-            nxt = cycle.sets[(i + 1) % m]
-            members = [s for s in kernel.states if D.contains_point(s)]
-            if not members or not D.is_subset(kernel.space):
-                return False
-            for x in members:
-                if kernel.transition_prob(x, nxt) != 1:
-                    return False
-        return True
-    for i, D in enumerate(cycle.sets):
-        if not D.is_subset(kernel.space):
-            return False
-        image = _deterministic_set_image(kernel, D)
-        if not image.is_subset(cycle.sets[(i + 1) % m]):
-            return False
-    return True
+    """Check p(x, D_{i+1}) = 1 for every x in D_i, exactly: each D_i lies in
+    the space, and the points D_i reaches in one step (`image`) lie in D_{i+1}.
+    A nonempty D_i inside a finite chain's space holds a state, so the test is
+    never vacuous there."""
+    sets = cycle.sets
+    return all(
+        D.is_subset(kernel.space) and kernel.image(D).is_subset(nxt)
+        for D, nxt in zip(sets, sets[1:] + sets[:1])
+    )
 
 
 @dataclass(frozen=True)
@@ -234,9 +210,18 @@ def _transient_among(kernel: StochasticKernel, infos: list[RecurrentClassInfo]) 
 def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
     """The measure cycle a singular state cycle supports.
 
-    Finite chains: the exact invariant vector of the m-step matrix restricted
-    to D_1 (averaged over its recurrent classes when the restriction is
-    reducible).  Maps: of the cycles `enumerate_cycles` lists, each rotated to
+    Finite chains: the first coordinate is (1/k) sum_C m pi_C restricted to
+    D_1, over the k recurrent classes C of `find_cyclic_classes` that meet
+    D_1: the average of the invariants of the m-step chain's classes on D_1.
+    Proof: take x in C ∩ D_1, C of period d.  The supports of delta_x P^j
+    eventually cover every cyclic subclass of C, and they lie in
+    D_{1 + j mod m}.  The D_i are disjoint, so m divides d.
+    So C ∩ D_1 is the union of the subclasses r ≡ r_0 (mod m).  That union
+    is one class of the m-step chain on D_1, pi_C gives it mass 1/m, and its
+    invariant is therefore m pi_C restricted to D_1.  Transient states carry
+    no mass.
+
+    Maps: of the cycles `enumerate_cycles` lists, each rotated to
     its coordinate with mass 1 on D_1, and the atoms and germs at the
     boundary of D_1 that m pushes bring back (inside a continuum cell, which
     the enumeration leaves out), the one whose first generator is least by
@@ -247,23 +232,14 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
         raise NotSingular("the state cycle's sets must be pairwise disjoint")
     if not verify_state_cycle(kernel, cycle):
         raise NotACycle("not a state cycle for this kernel")
-    m = cycle.period
+    m, D = cycle.period, cycle.sets[0]
     if isinstance(kernel, StochasticKernel):
-        # The m-step chain restricted to D_1 is stochastic, since the state
-        # cycle verified; average the invariants of its recurrent classes.
-        states = tuple(s for s in kernel.states if cycle.sets[0].contains_point(s))
-        rows = []
-        for s in states:
-            mass = {g.location: c for g, c in _orbit(kernel, Measure.dirac(s), m)[-1].terms}
-            rows.append(tuple(mass.get(t, Fraction(0)) for t in states))
-        classes = find_cyclic_classes(StochasticKernel(states, tuple(rows)))
-        first = Measure.from_terms(
-            (g, c / len(classes)) for info in classes for g, c in info.invariant.terms
-        )
+        parts = [info.invariant.restrict(D) for info in find_cyclic_classes(kernel)]
+        parts = [mu for mu in parts if not mu.is_zero()]  # the classes that meet D_1
+        first = sum(parts, Measure.zero()) * Fraction(m, len(parts))
     else:
         # a cycle through D_1 has period m, as the sets are disjoint; the
         # boundary seeds of D_1 add the orbits inside a continuum cell
-        D = cycle.sets[0]
         found = enumerate_cycles(kernel, m)
         starts = [mu for c in found for mu in c.coords if mu.evaluate(D) == 1]
         seeds = _boundary_seeds(D, D.finite_boundary_values())

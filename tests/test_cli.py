@@ -559,3 +559,12 @@ def test_check_pushes_each_battery_measure_once(monkeypatch, capsys):
         for n in CHECK_NAMES
     ]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["cycles", "check"])
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_max_period_below_one_is_rejected(command, bound, capsys):
+    assert main([command, "three_state_swap", "--max-period", bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-period must be at least 1\n"

@@ -522,3 +522,56 @@ def test_reimport_releases_the_previous_package():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_transition_prob_of_a_map_reads_the_mapped_point():
+    rng = random.Random(31)
+    for _ in range(40):
+        k = conveyor_kernel(rng)
+        n = len(k.pieces)
+        E = SetExpr.from_components(
+            [Point(F(rng.randint(0, 2 * n), 2)), Interval(F(1, 3), F(rng.randint(1, 2 * n), 2), True, False)]
+        )
+        for x in [F(j, 4) for j in range(-2, 4 * n + 3)]:
+            if k.space.contains_point(x):
+                assert k.transition_prob(x, E) == (1 if E.contains_point(k.map_point(x)) else 0)
+            else:
+                with pytest.raises(PointEscapesSpace):
+                    k.transition_prob(x, E)
+
+
+def test_stochastic_image_by_hand():
+    # 1 -> {2, 3}, 2 -> {1}, 3 -> {3}
+    half = F(1, 2)
+    k = StochasticKernel(
+        (F(1), F(2), F(3)),
+        ((F(0), half, half), (F(1), F(0), F(0)), (F(0), F(0), F(1))),
+    )
+
+    def pts(*vals):
+        return SetExpr.from_components(Point(F(v)) for v in vals)
+
+    assert k.image(pts(1)) == pts(2, 3)
+    assert k.image(pts(2, 3)) == pts(1, 3)
+    assert k.image(pts(3)) == pts(3)
+    assert k.image(SetExpr.interval(0, F(5, 2), True, True)) == pts(1, 2, 3)
+    assert k.image(pts(F(3, 2), 7)).is_empty()
+    assert k.image(SetExpr.interval(F(3, 2), 2, True, False)).is_empty()
+
+
+def test_map_image_of_a_sub_interval():
+    # the doubling map on [0, 1): x -> 2x on [0, 1/2), x -> 2x - 1 on [1/2, 1)
+    space = SetExpr.interval(0, 1, True, False)
+    left, right = Interval(F(0), F(1, 2), True, False), Interval(F(1, 2), F(1), True, False)
+    k = DeterministicKernel(space, ((left, Polynomial.of(0, 2)), (right, Polynomial.of(-1, 2))))
+    assert k.image() == space
+    assert k.image(space) == space
+    assert k.image(SetExpr.interval(F(1, 4), F(1, 2), True, False)) == SetExpr.interval(F(1, 2), 1, True, False)
+    assert k.image(SetExpr.interval(F(1, 2), F(3, 4), False, True)) == SetExpr.interval(0, F(1, 2), False, True)
+    assert k.image(SetExpr.interval(F(1, 4), F(3, 4), True, True)) == space
+    assert k.image(SetExpr.point(F(3, 4))) == SetExpr.point(F(1, 2))
+    assert k.image(SetExpr.interval(2, 3, True, True)).is_empty()
+    # x -> x^2 on [0, 1]: the image of [1/2, 1) is [1/4, 1)
+    unit = SetExpr.interval(0, 1, True, True)
+    sq = DeterministicKernel(unit, ((unit.components[0], Polynomial.of(0, 0, 1)),))
+    assert sq.image(SetExpr.interval(F(1, 2), 1, True, False)) == SetExpr.interval(F(1, 4), 1, True, False)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,13 +28,14 @@ from measurecycles import PiecewisePolyFunction, Polynomial
 from measurecycles.errors import (
     IrrationalCriticalPoint,
     NoRepresentableInvariant,
+    PointEscapesSpace,
     NotCountablyAdditive,
     NotDisjoint,
     NotFiniteChain,
     NotSingular,
     RangeViolation,
 )
-from support import random_periodic_block_chain
+from support import random_periodic_block_chain, random_stochastic_kernel
 
 F = Fraction
 
@@ -401,3 +403,121 @@ def test_unit_integral_irrational_maximum_is_a_critical_point():
     f = PiecewisePolyFunction.build(space, [(space.components[0], Polynomial.of(F(3, 4), 0, 1, 0, -1))])
     with pytest.raises(IrrationalCriticalPoint):
         unit_integral_check(f, Measure.dirac(F(1, 2)))
+
+
+# -- finite chains: the state-by-state rules and the restricted chain ------------
+
+
+def _state_by_state_cycle(kernel, sets):
+    """Each D_i lies in the space, holds a state, and every state of D_i sends
+    mass 1 to D_{i+1}: the row summed over the states in D_{i+1}."""
+    for D, nxt in zip(sets, sets[1:] + sets[:1]):
+        members = [i for i, s in enumerate(kernel.states) if D.contains_point(s)]
+        if not members or not D.is_subset(kernel.space):
+            return False
+        for i in members:
+            row = zip(kernel.states, kernel.matrix[i])
+            if sum(p for t, p in row if nxt.contains_point(t)) != 1:
+                return False
+    return True
+
+
+def _labelled_state_cycles(kernel, max_period):
+    """Every state cycle of point sets of period <= max_period: label each
+    state 1..m or 0 (in no set), and keep the labellings where every
+    successor of a state labelled i is labelled i + 1 (mod m)."""
+    n = len(kernel.states)
+    succ = [[j for j in range(n) if kernel.matrix[i][j]] for i in range(n)]
+    for m in range(1, max_period + 1):
+        for labels in itertools.product(range(m + 1), repeat=n):
+            if not set(range(1, m + 1)) <= set(labels):
+                continue
+            if all(labels[j] == labels[i] % m + 1 for i in range(n) if labels[i] for j in succ[i]):
+                yield StateCycle(
+                    tuple(
+                        points(*(s for s, label in zip(kernel.states, labels) if label == r))
+                        for r in range(1, m + 1)
+                    )
+                )
+
+
+def _restricted_chain_start(kernel, cycle):
+    """The first coordinate by the m-step chain restricted to D_1: push each
+    state of D_1 m times, and average the invariants of the classes of the
+    restricted chain."""
+    m, D = cycle.period, cycle.sets[0]
+    states = tuple(s for s in kernel.states if D.contains_point(s))
+    rows = []
+    for s in states:
+        mu = Measure.dirac(s)
+        for _ in range(m):
+            mu = kernel.push_measure(mu)
+        rows.append(tuple(mu.evaluate(points(t)) for t in states))
+    classes = find_cyclic_classes(StochasticKernel(states, tuple(rows)))
+    return Measure.from_terms(
+        (g, c / len(classes)) for info in classes for g, c in info.invariant.terms
+    )
+
+
+def test_state_cycle_measures_match_the_restricted_chain():
+    rng = random.Random(2024)
+    chains = [random_stochastic_kernel(rng, max_states=4) for _ in range(150)]
+    while len(chains) < 200:
+        kernel, _ = random_periodic_block_chain(rng)
+        if len(kernel.states) <= 5:
+            chains.append(kernel)
+    periods = []
+    for kernel in chains:
+        for sc in _labelled_state_cycles(kernel, 3):
+            assert verify_state_cycle(kernel, sc)
+            cycle = measures_from_state_cycle(kernel, sc)
+            assert cycle.coords[0] == _restricted_chain_start(kernel, sc), (kernel, sc)
+            periods.append(sc.period)
+    assert {1, 2, 3} <= set(periods)
+    assert len(periods) > 400
+
+
+def _random_set(rng, n):
+    """A union of states, points that are not states, and intervals, on the
+    states 1..n."""
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.6:
+            comps.append(Point(F(rng.randint(1, n))))
+        elif roll < 0.8:
+            comps.append(Point(F(rng.randint(0, 2 * n + 2), 2)))
+        else:
+            lo = F(rng.randint(0, 2 * n), 2)
+            hi = lo + F(rng.randint(1, 4), 2)
+            comps.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return SetExpr.from_components(comps)
+
+
+def test_verify_and_transitions_follow_the_state_by_state_rules():
+    rng = random.Random(77)
+    outcomes = []
+    for _ in range(300):
+        kernel = random_stochastic_kernel(rng, max_states=4)
+        n = len(kernel.states)
+        sets = tuple(_random_set(rng, n) for _ in range(rng.randint(1, 3)))
+        labelled = list(_labelled_state_cycles(kernel, 2))
+        if labelled and rng.random() < 0.5:
+            sets = rng.choice(labelled).sets
+            if rng.random() < 0.5:
+                i = rng.randrange(len(sets))
+                sets = sets[:i] + (sets[i] | _random_set(rng, n),) + sets[i + 1 :]
+        if len(set(sets)) == len(sets):
+            verdict = verify_state_cycle(kernel, StateCycle(sets))
+            assert verdict == _state_by_state_cycle(kernel, sets), (kernel, sets)
+            outcomes.append(verdict)
+        E = sets[0]
+        for x in [F(k, 2) for k in range(0, 2 * n + 3)]:
+            if x in kernel.states:
+                row = zip(kernel.states, kernel.matrix[kernel.states.index(x)])
+                expected = sum((p for t, p in row if E.contains_point(t)), F(0))
+                assert kernel.transition_prob(x, E) == expected
+            else:
+                with pytest.raises(PointEscapesSpace):
+                    kernel.transition_prob(x, E)
+    assert True in outcomes and False in outcomes
