@@ -287,8 +287,14 @@ def _keep_int(text: str) -> int:
 
 
 def load(path) -> ChainSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Parse a chain file; OSError when it cannot be read, SpecValidationError
+    when it is not UTF-8 or not a valid chain."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()  # one decode of the whole file: e.start is its byte offset
+    except UnicodeDecodeError as e:
+        raise SpecValidationError([Diagnostic("NotUtf8", f"byte {e.start}", e.reason)]) from None
+    return loads(text)
 
 
 def bundled_chain_names() -> list[str]:

@@ -65,25 +65,18 @@ DEFAULT_MAX_PERIOD = 6
 
 def _load_spec(token: str, err) -> tuple[Optional[ChainSpec], int]:
     if os.path.exists(token):
-        try:
-            with open(token, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            print(f"error: cannot read {token}: {e}", file=err)
-            return None, EXIT_IO
-        source = token
+        load, source = chainspec.load, token
     elif token in chainspec.bundled_chain_names():
-        import importlib.resources
-
-        root = importlib.resources.files("measurecycles") / "chains"
-        text = (root / f"{token}.json").read_text(encoding="utf-8")
-        source = f"bundled chain {token}"
+        load, source = chainspec.load_bundled, f"bundled chain {token}"
     else:
         print(f"error: {token} is neither a file nor a bundled chain name", file=err)
         print("bundled chains: " + ", ".join(chainspec.bundled_chain_names()), file=err)
         return None, EXIT_IO
     try:
-        return chainspec.loads(text), EXIT_OK
+        return load(token), EXIT_OK
+    except OSError as e:
+        print(f"error: cannot read {token}: {e}", file=err)
+        return None, EXIT_IO
     except SpecValidationError as e:
         print(f"{source}: INVALID", file=err)
         for d in e.diagnostics:

@@ -278,14 +278,11 @@ def _boundary_seeds(S: SetExpr, values: Iterable[Fraction]) -> list[Measure]:
 
 
 def _class_cycles(kernel: StochasticKernel) -> list[tuple[Measure, ...]]:
-    """(pi_0, ..., pi_{d-1}) per recurrent class of period d: the subclass
-    invariant on the first cyclic subclass and its d - 1 pushes."""
+    """(pi_0, ..., pi_{d-1}) per recurrent class of period d: d times the
+    class invariant on each cyclic subclass, in order (`find_cyclic_classes`)."""
     from .state_cycles import find_cyclic_classes
 
-    return [
-        tuple(_orbit(kernel, info.subclass_invariant, info.period - 1))
-        for info in find_cyclic_classes(kernel)
-    ]
+    return [info.subclass_invariants for info in find_cyclic_classes(kernel)]
 
 
 def _periodic_generators(kernel: DeterministicKernel, m: int) -> list[Cycle]:

@@ -85,7 +85,12 @@ class RecurrentClassInfo:
     period: int
     subclasses: tuple[tuple[Fraction, ...], ...]
     invariant: Measure  # unique invariant distribution of the class
-    subclass_invariant: Measure  # invariant of the period-step chain on subclasses[0]
+    subclass_invariants: tuple[Measure, ...]  # the class cycle
+
+    @property
+    def subclass_invariant(self) -> Measure:
+        """The invariant of the period-step chain on ``subclasses[0]``."""
+        return self.subclass_invariants[0]
 
     def state_cycle(self) -> StateCycle:
         return StateCycle(
@@ -140,13 +145,17 @@ def _solve_invariant(rows: list[list[Fraction]]) -> list[Fraction]:
 
 
 def find_cyclic_classes(kernel: Kernel) -> list[RecurrentClassInfo]:
-    """Recurrent classes with their periods, cyclic subclasses, and exact
-    invariant distributions.  Defined for finite chains only.
+    """Recurrent classes with their periods, cyclic subclasses, exact
+    invariant distributions and class cycles.  Defined for finite chains only.
 
     The recurrent classes are the closed reachability sets (`_closed_classes`).
-    In a class of period d each cyclic subclass carries mass 1/d of the class
-    invariant pi, so d * pi restricted to ``subclasses[0]`` is the unique
-    invariant of the d-step chain there.
+    With level the BFS distance from a class's least state, the period d is
+    the gcd of level[v] + 1 - level[w] over the class's edges v -> w, and
+    subclass r holds the levels ≡ r (mod d): every edge goes from r to r + 1.
+    So pi P = pi, pi the class invariant, puts on subclass r + 1 the mass of
+    subclass r alone: (pi restricted to r) P = pi restricted to r + 1, and a
+    push keeps mass, so each subclass has 1/d.  ``subclass_invariants``, d pi
+    restricted to each subclass, is the class cycle (Kemeny & Snell 1960).
     """
     if not isinstance(kernel, StochasticKernel):
         raise NotFiniteChain("cyclic classes are defined for finite chains")
@@ -166,21 +175,16 @@ def find_cyclic_classes(kernel: Kernel) -> list[RecurrentClassInfo]:
         subclasses = tuple(
             tuple(v for v in members if level[v] % period == r) for r in range(period)
         )
-        for r, sub in enumerate(subclasses):
-            nxt = set(subclasses[(r + 1) % period])
-            for v in sub:
-                if any(w not in nxt for w in edges[v]):
-                    raise InvariantViolation(
-                        "one-step transitions must map each subclass onto the next"
-                    )
         rows = [[kernel.matrix[i][j] for j in members] for i in members]
         pi = dict(zip(members, _solve_invariant(rows)))
         invariant = Measure.from_terms(
             (Generator(GeneratorKind.ATOM, kernel.states[v]), pi[v]) for v in members
         )
-        subclass_invariant = Measure.from_terms(
-            (Generator(GeneratorKind.ATOM, kernel.states[v]), period * pi[v])
-            for v in subclasses[0]
+        subclass_invariants = tuple(
+            Measure.from_terms(
+                (Generator(GeneratorKind.ATOM, kernel.states[v]), period * pi[v]) for v in sub
+            )
+            for sub in subclasses
         )
         infos.append(
             RecurrentClassInfo(
@@ -190,7 +194,7 @@ def find_cyclic_classes(kernel: Kernel) -> list[RecurrentClassInfo]:
                     tuple(kernel.states[i] for i in sub) for sub in subclasses
                 ),
                 invariant=invariant,
-                subclass_invariant=subclass_invariant,
+                subclass_invariants=subclass_invariants,
             )
         )
     infos.sort(key=lambda info: info.states)
@@ -208,25 +212,31 @@ def _transient_among(kernel: StochasticKernel, infos: list[RecurrentClassInfo]) 
 
 
 def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
-    """The measure cycle a singular state cycle supports.
+    """The measure cycle a singular state cycle supports: coordinate i puts
+    mass 1 on D_i and 0 on the other sets.
 
-    Finite chains: the first coordinate is (1/k) sum_C m pi_C restricted to
-    D_1, over the k recurrent classes C of `find_cyclic_classes` that meet
-    D_1: the average of the invariants of the m-step chain's classes on D_1.
-    Proof: take x in C ∩ D_1, C of period d.  The supports of delta_x P^j
-    eventually cover every cyclic subclass of C, and they lie in
-    D_{1 + j mod m}.  The D_i are disjoint, so m divides d.
-    So C ∩ D_1 is the union of the subclasses r ≡ r_0 (mod m).  That union
-    is one class of the m-step chain on D_1, pi_C gives it mass 1/m, and its
-    invariant is therefore m pi_C restricted to D_1.  Transient states carry
-    no mass.
+    Finite chains: coordinate i is (m/k) sum_C pi_C restricted to D_i, over
+    the k recurrent classes C of `find_cyclic_classes` that meet D_1: the sum
+    over all classes, normalized (for i = 1 the average of the invariants of
+    the m-step chain's classes on D_1).
+    Proof: take x in C ∩ D_1, in subclass r_0 of C, of period d.  The supports
+    of delta_x P^j cover every subclass of C, and lie in subclass r_0 + j
+    (mod d) and in D_{1 + j mod m}.  The D_i are disjoint, so m divides d and
+    C ∩ D_i is the union of the subclasses r ≡ r_0 + i - 1 (mod m), of mass
+    1/m.  As (pi_C restricted to subclass r) P = pi_C restricted to r + 1, the
+    coordinates cycle.  A class meets D_1 iff it meets some D_i, and the chain
+    reaches a class from D_1; transient states carry no mass.
 
-    Maps: of the cycles `enumerate_cycles` lists, each rotated to
-    its coordinate with mass 1 on D_1, and the atoms and germs at the
-    boundary of D_1 that m pushes bring back (inside a continuum cell, which
-    the enumeration leaves out), the one whose first generator is least by
+    Maps: of the cycles `enumerate_cycles` lists, each rotated to a
+    coordinate with mass 1 on D_1, and the atoms and germs at the boundary of
+    D_1 that m pushes bring back (inside a continuum cell, which the
+    enumeration leaves out), the orbit whose first generator is least by
     (location, kind rank); NoRepresentableInvariant when there is none, e.g.
-    when the periodic points in D_1 are irrational.
+    when the periodic points in D_1 are irrational.  Proof: the start is one
+    generator that D_1 holds.  A generator that D_i holds pushes to one that
+    the image of its carrier holds (its point, one-sided neighbourhood or
+    tail; the map is monotone or constant near a point), and image(D_i) ⊆
+    D_{i+1} (`verify_state_cycle`).  The other sets are disjoint from D_i.
     """
     if not cycle.singular:
         raise NotSingular("the state cycle's sets must be pairwise disjoint")
@@ -234,38 +244,38 @@ def measures_from_state_cycle(kernel: Kernel, cycle: StateCycle) -> Cycle:
         raise NotACycle("not a state cycle for this kernel")
     m, D = cycle.period, cycle.sets[0]
     if isinstance(kernel, StochasticKernel):
-        parts = [info.invariant.restrict(D) for info in find_cyclic_classes(kernel)]
-        parts = [mu for mu in parts if not mu.is_zero()]  # the classes that meet D_1
-        first = sum(parts, Measure.zero()) * Fraction(m, len(parts))
+        invariants = [info.invariant for info in find_cyclic_classes(kernel)]
+        coords = tuple(
+            sum((pi.restrict(E) for pi in invariants), Measure.zero()).normalize()
+            for E in cycle.sets
+        )
     else:
         # a cycle through D_1 has period m, as the sets are disjoint; the
         # boundary seeds of D_1 add the orbits inside a continuum cell
-        found = enumerate_cycles(kernel, m)
-        starts = [mu for c in found for mu in c.coords if mu.evaluate(D) == 1]
-        seeds = _boundary_seeds(D, D.finite_boundary_values())
-        starts += [seed for seed in seeds if _orbit(kernel, seed, m)[-1] == seed]
-        if not starts:
+        orbits = [
+            rot for c in enumerate_cycles(kernel, m) for rot in _rotations(c.coords)
+            if rot[0].evaluate(D) == 1
+        ]
+        for seed in _boundary_seeds(D, D.finite_boundary_values()):
+            orbit = _orbit(kernel, seed, m)
+            if orbit[-1] == seed:
+                orbits.append(tuple(orbit[:-1]))
+        if not orbits:
             raise NoRepresentableInvariant(
                 f"no cycle of period {m} at rational locations starts in the first set"
             )
         # (location, kind rank), a mass at infinity read at location 0
-        first = min(starts, key=lambda mu: mu.terms[0][0].sort_key()[::-1])
-    result = Cycle(kernel, tuple(_orbit(kernel, first, m - 1)))
-    for i, mu in enumerate(result.coords):
-        for j, D in enumerate(cycle.sets):
-            expected = Fraction(1 if i == j else 0)
-            if mu.evaluate(D) != expected:
-                raise InvariantViolation(
-                    f"coordinate {i + 1} puts {mu.evaluate(D)} on set {j + 1}"
-                )
-    return result
+        coords = min(orbits, key=lambda orbit: orbit[0].terms[0][0].sort_key()[::-1])
+    return Cycle(kernel, coords)
 
 
 def state_cycle_from_measures(cycle: Cycle) -> StateCycle:
-    """Atom supports of a disjoint countably additive measure cycle.
+    """Atom supports S_i of a disjoint countably additive measure cycle.
 
-    Verifies the support sets cycle with full transition mass, and (for
-    periods over 1) that each coordinate leaves its own support completely.
+    They form a state cycle, left in one step for periods over 1: mu_i =
+    sum_x c_x delta_x with every c_x > 0 over S_i, and the cycle is verified,
+    so sum_x c_x delta_x P = mu_{i+1}.  Each delta_x P is nonnegative, so
+    p(x, S_{i+1}) = 1, and p(x, S_i) = 0 as S_i and S_{i+1} are disjoint.
     """
     for mu in cycle.coords:
         if not mu.is_purely_atomic():
@@ -274,24 +284,9 @@ def state_cycle_from_measures(cycle: Cycle) -> StateCycle:
         for b in cycle.coords[i + 1 :]:
             if set(a.atom_support()) & set(b.atom_support()):
                 raise NotDisjoint("coordinates share atoms")
-    kernel = cycle.kernel
-    sets = tuple(
-        SetExpr.from_components(Point(x) for x in mu.atom_support())
-        for mu in cycle.coords
+    return StateCycle(
+        tuple(SetExpr.from_components(Point(x) for x in mu.atom_support()) for mu in cycle.coords)
     )
-    m = cycle.period
-    for i, mu in enumerate(cycle.coords):
-        nxt = sets[(i + 1) % m]
-        for x in mu.atom_support():
-            if kernel.transition_prob(x, nxt) != 1:
-                raise InvariantViolation(
-                    f"atom {x} does not send full mass to the next support"
-                )
-            if m >= 2 and kernel.transition_prob(x, sets[i]) != 0:
-                raise InvariantViolation(
-                    f"atom {x} keeps mass on its own support within one step"
-                )
-    return StateCycle(sets)
 
 
 @dataclass(frozen=True)

@@ -179,3 +179,11 @@ def test_diagnostic_string_format():
         loads(json.dumps(obj))
     line = str(err.value.diagnostics[0])
     assert line.startswith("BadRational at $.matrix[0][1]: ")
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_bytes(json.dumps(minimal_stochastic()).encode()[:9] + b"\xff\"}")
+    with pytest.raises(SpecValidationError) as err:
+        load(path)
+    assert [str(d) for d in err.value.diagnostics] == ["NotUtf8 at byte 9: invalid start byte"]

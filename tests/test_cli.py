@@ -135,6 +135,20 @@ def test_validate_irrational_critical_point_has_no_traceback(tmp_path):
     assert "Traceback" not in run.stderr + run.stdout
 
 
+def test_validate_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: INVALID\n  NotUtf8 at byte 0: invalid start byte\n"
+
+
+def test_a_path_that_cannot_be_read_exits_with_io_code(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+
 def test_unknown_chain_token(capsys):
     assert main(["validate", "no_such_chain"]) == 3
     err = capsys.readouterr().err

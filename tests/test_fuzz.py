@@ -1,9 +1,10 @@
 """Hypothesis fuzzing of chain documents through `chainspec.loads` and `cli.main`.
 
 The documents mix valid and invalid fields, and their rationals have parts of
-up to 40 digits.  Every document must end in a result or a diagnostic:
-`loads` returns a spec or raises SpecValidationError, and every command of
-the CLI exits 0, 1, 2 or 3, within a time budget and with no traceback.
+up to 40 digits; chain files also hold raw bytes, UTF-8 or not.  Every
+document must end in a result or a diagnostic: `loads` returns a spec or
+raises SpecValidationError, and every command of the CLI exits 0, 1, 2 or 3,
+within a time budget and with no traceback.
 """
 
 import json
@@ -184,6 +185,29 @@ def test_cli_exits_with_a_documented_code(tmp_path, capsys, case, steps, data):
     ]
     with budget(BUDGET_S):
         for argv in commands:
+            code = _exit_code(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err, argv
+
+
+@st.composite
+def spliced_documents(draw):
+    """A chain document's UTF-8 bytes with random bytes spliced in."""
+    doc, _ = draw(chain_documents())
+    data = json.dumps(doc).encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=200) | spliced_documents())
+@example(b"\xff")
+def test_cli_exits_with_a_documented_code_on_any_bytes(tmp_path, capsys, data):
+    path = tmp_path / "chain.json"
+    path.write_bytes(data)
+    with budget(BUDGET_S):
+        for argv in (["validate", str(path)], ["check", str(path), "--max-period", "2"]):
             code = _exit_code(argv)
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), (argv, code)

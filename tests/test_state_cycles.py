@@ -6,6 +6,7 @@ import pytest
 
 from measurecycles import (
     Cycle,
+    CycleKind,
     DeterministicKernel,
     Generator,
     GeneratorKind,
@@ -24,7 +25,8 @@ from measurecycles import (
     unit_integral_check,
     verify_state_cycle,
 )
-from measurecycles import PiecewisePolyFunction, Polynomial
+from measurecycles import PiecewisePolyFunction, Polynomial, enumerate_cycles
+from measurecycles.cycles import _class_cycles
 from measurecycles.errors import (
     IrrationalCriticalPoint,
     NoRepresentableInvariant,
@@ -35,7 +37,7 @@ from measurecycles.errors import (
     NotSingular,
     RangeViolation,
 )
-from support import random_periodic_block_chain, random_stochastic_kernel
+from support import conveyor_kernel, random_periodic_block_chain, random_stochastic_kernel
 
 F = Fraction
 
@@ -521,3 +523,122 @@ def test_verify_and_transitions_follow_the_state_by_state_rules():
                 with pytest.raises(PointEscapesSpace):
                     kernel.transition_prob(x, E)
     assert True in outcomes and False in outcomes
+
+
+# -- the set-measure correspondence as properties ------------------------------------
+
+
+def _random_chains(rng, count):
+    """Random chains of tests/support.py, then as many periodic block chains."""
+    chains = [random_stochastic_kernel(rng) for _ in range(count)]
+    return chains + [random_periodic_block_chain(rng)[0] for _ in range(count)]
+
+
+def _pushed_class_cycle(kernel, info):
+    """The class cycle by pushes: the subclass invariant and its d - 1 pushes."""
+    orbit = [info.subclass_invariant]
+    while len(orbit) < info.period:
+        orbit.append(kernel.push_measure(orbit[-1]))
+    return tuple(orbit)
+
+
+def test_class_cycles_are_the_pushed_subclass_invariants():
+    for kernel in _random_chains(random.Random(1960), 100):
+        infos = find_cyclic_classes(kernel)
+        assert _class_cycles(kernel) == [_pushed_class_cycle(kernel, info) for info in infos]
+
+
+def test_every_class_edge_goes_to_the_next_subclass():
+    periods = set()
+    for kernel in _random_chains(random.Random(1961), 100):
+        for info in find_cyclic_classes(kernel):
+            periods.add(info.period)
+            for r, sub in enumerate(info.subclasses):
+                nxt = set(info.subclasses[(r + 1) % info.period])
+                for s in sub:
+                    row = zip(kernel.states, kernel.matrix[kernel.states.index(s)])
+                    assert {t for t, p in row if p} <= nxt, (kernel, info)
+    assert {1, 2, 3, 4} <= periods
+
+
+def _assert_supports_form_a_state_cycle(cycle):
+    """state_cycle_from_measures gives a state cycle whose atoms send mass 1 to
+    the next support, and none to their own for periods over 1."""
+    sc = state_cycle_from_measures(cycle)
+    assert verify_state_cycle(cycle.kernel, sc)
+    m = cycle.period
+    for i, mu in enumerate(cycle.coords):
+        for x in mu.atom_support():
+            assert cycle.kernel.transition_prob(x, sc.sets[(i + 1) % m]) == 1
+            if m >= 2:
+                assert cycle.kernel.transition_prob(x, sc.sets[i]) == 0
+
+
+def _unit_reflection():
+    """x -> 1 - x on [0, 1]."""
+    unit = Interval(F(0), F(1), True, True)
+    return DeterministicKernel(SetExpr((unit,)), ((unit, Polynomial.of(1, -1)),))
+
+
+def test_atom_supports_of_class_and_map_cycles_are_state_cycles():
+    for kernel in _random_chains(random.Random(1962), 60):
+        for coords in _class_cycles(kernel):
+            _assert_supports_form_a_state_cycle(Cycle(kernel, coords))
+    rng = random.Random(1963)
+    maps = [conveyor_kernel(rng) for _ in range(12)]
+    maps += [load_bundled("interval_squares_closed").kernel, _unit_reflection()]
+    periods = set()
+    for kernel in maps:
+        for cycle in enumerate_cycles(kernel, 6):
+            if cycle.classify() is CycleKind.COUNTABLY_ADDITIVE:
+                _assert_supports_form_a_state_cycle(cycle)
+                periods.add(cycle.period)
+    assert len(periods) >= 4
+
+
+def _assert_unit_mass_on_own_set(kernel, sc):
+    cycle = measures_from_state_cycle(kernel, sc)
+    assert cycle.period == sc.period
+    for i, mu in enumerate(cycle.coords):
+        for j, D in enumerate(sc.sets):
+            assert mu.evaluate(D) == (1 if i == j else 0), (kernel, sc, i, j)
+
+
+def test_state_cycle_measures_put_mass_one_on_their_own_set():
+    # the verified state cycles of test_state_cycle_measures_match_the_restricted_chain
+    rng = random.Random(2024)
+    chains = [random_stochastic_kernel(rng, max_states=4) for _ in range(150)]
+    while len(chains) < 200:
+        kernel, _ = random_periodic_block_chain(rng)
+        if len(kernel.states) <= 5:
+            chains.append(kernel)
+    for kernel in chains:
+        for sc in _labelled_state_cycles(kernel, 3):
+            _assert_unit_mass_on_own_set(kernel, sc)
+
+
+def test_map_state_cycle_measures_put_mass_one_on_their_own_set():
+    witnesses = [
+        (spec.kernel, sc)
+        for spec in map(load_bundled, ("interval_squares", "interval_squares_closed"))
+        for sc in spec.declared_state_cycles
+    ]
+    half, reflection = F(1, 2), _unit_reflection()
+    witnesses += [
+        (reflection, StateCycle((points(half),))),
+        (reflection, StateCycle((SetExpr.interval(0, half, True), SetExpr.interval(half, 1, False, True)))),
+        # inside the continuum cell: no listed cycle, a returning boundary germ
+        (reflection, StateCycle((SetExpr.interval(F(1, 4), F(1, 3)), SetExpr.interval(F(2, 3), F(3, 4))))),
+    ]
+    # x -> -x on the line swaps the masses at infinity
+    line = Interval(None, None)
+    negation = DeterministicKernel(SetExpr((line,)), ((line, Polynomial.of(0, -1)),))
+    halves = StateCycle((SetExpr.interval(None, 0), SetExpr.interval(0, None)))
+    witnesses.append((negation, halves))
+    rng = random.Random(1964)
+    for _ in range(8):
+        conveyor = conveyor_kernel(rng)
+        pieces = StateCycle(tuple(SetExpr((comp,)) for comp, _ in conveyor.pieces))
+        witnesses.append((conveyor, pieces))
+    for kernel, sc in witnesses:
+        _assert_unit_mass_on_own_set(kernel, sc)
