@@ -19,9 +19,9 @@ from typing import Iterable, Optional, Sequence
 from .errors import MeasureChainError, NotACycle, PeriodMismatch
 from .kernels import DeterministicKernel, Kernel, StochasticKernel
 from .measures import Measure
-from .polynomials import Polynomial, _real_roots
+from .polynomials import Polynomial, rational_roots
 from .rationals import parse_rational
-from .sets import Interval, SetExpr
+from .sets import SetExpr
 
 
 class CycleKind(Enum):
@@ -292,15 +292,15 @@ def _periodic_generators(kernel: DeterministicKernel, m: int) -> list[Cycle]:
     An orbit follows a closed walk of pieces, i -> j when the image of piece i
     meets piece j (a germ's one-sided neighbourhood maps into it too); from
     its least piece s the walk stays on pieces >= s.  The orbit's location in
-    piece s is then a root of P(x) - x, P the walk's pieces composed, inside
-    the piece or at an end (only an end when P(x) = x); the masses at infinity
-    that piece s holds need no root.
+    piece s is then a rational root of P(x) - x, P the walk's pieces composed,
+    or an end of the piece when P(x) = x; `_boundary_seeds` keeps the
+    generators that piece s holds there, and its masses at infinity.
     """
     pieces, n = kernel.pieces, len(kernel.pieces)
     held = [SetExpr((comp,)) for comp, _ in pieces]
     edges = [[j for j in range(n) if image.intersects(held[j])] for image in kernel._images]
     seeds: dict[Measure, None] = {}
-    for s, (comp, poly) in enumerate(pieces):
+    for s, (_, poly) in enumerate(pieces):
         back, frontier = {}, [s]  # back[i]: the fewest edges from i to s over pieces >= s
         for d in range(1, m + 1):
             frontier = [i for i in range(s, n) if i not in back and set(edges[i]) & set(frontier)]
@@ -310,9 +310,8 @@ def _periodic_generators(kernel: DeterministicKernel, m: int) -> list[Cycle]:
             i, composed, k = walks.pop()
             if back[i] == 1:
                 fixed = composed - Polynomial.identity()
-                roots = [e for e in held[s].finite_boundary_values() if fixed(e) == 0]
-                if isinstance(comp, Interval) and not fixed.is_zero():
-                    roots += _real_roots(fixed, comp.lo, comp.hi)[0]
+                ends = held[s].finite_boundary_values()
+                roots = ends if fixed.is_zero() else rational_roots(fixed)
                 seeds.update(dict.fromkeys(_boundary_seeds(held[s], roots)))
             walks += [(j, pieces[j][1].compose(composed), k + 1)
                       for j in edges[i] if j >= s and k + back.get(j, m) <= m]
@@ -347,8 +346,8 @@ def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
     combination of such orbits.  Not listed: irrational periodic points, and
     the interior of a continuum cell (a closed walk composing to the
     identity), of which only the orbits at the piece ends are.  Cost: one
-    composition and one root isolation per closed walk of length <= m, each
-    of degree at most d^m, d the largest piece degree.
+    composition and one rational-root search per closed walk of length <= m,
+    each of degree at most d^m, d the largest piece degree.
     """
     if isinstance(kernel, StochasticKernel):
         cycles = (

@@ -88,10 +88,6 @@ class DeterministicKernel(PiecewisePolyFunction):
             images.append(image)
         object.__setattr__(self, "_images", tuple(images))
 
-    @property
-    def is_deterministic(self) -> bool:
-        return True
-
     # -- transitions ------------------------------------------------------------
 
     def map_point(self, x: Fraction) -> Fraction:
@@ -204,10 +200,6 @@ class StochasticKernel:
                 raise KernelValidationError(
                     "RowNotStochastic", f"row {i} sums to {total}, not 1"
                 )
-
-    @property
-    def is_deterministic(self) -> bool:
-        return False
 
     @property
     def space(self) -> SetExpr:

@@ -6,21 +6,20 @@ p(u / v) is then Horner's rule over the integers on v^n D p(u / v), and one
 Fraction is built at the end.  The derivatives that
 `_first_nonzero_derivative` reads are likewise built once per polynomial.
 
-One engine, `_real_roots`, finds the roots of p on an open interval whose ends
-may be infinite: the sorted rational roots strictly inside, and the number of
-irrational ones.  It computes with integers only.  It clears denominators to a
-primitive integer polynomial and takes its square-free part by a primitive
-pseudo-remainder gcd.  Descartes' rule of signs with Vincent–Collins–Akritas
-bisection (integer Taylor shifts; a Cauchy bound for an infinite end) isolates
-the roots.  In each narrowed isolating interval, one exact test of the nearest
-rational with denominator at most the leading coefficient tells a rational
-root from an irrational one.
+The root engine computes with integers only.  It clears p's denominators to a
+primitive integer polynomial and takes its square-free part f by a primitive
+pseudo-remainder gcd.  `rational_roots` finds the rational roots of f by p-adic
+lifting, modulo powers of one small prime.  `_real_roots` divides them out and
+counts the roots left in an open interval, all irrational, by Descartes' rule
+of signs with Vincent–Collins–Akritas bisection (integer Taylor shifts; a
+Cauchy bound for an infinite end).
 
 Cost: with n the degree and t the bit size of the cleared coefficients and of
-the interval ends, every step is polynomial in n and t.  The bisection tree
-has O(n(t + log n)) nodes (Eigenwillig, Sharma and Yap 2006), each an O(n^2)
-Taylor shift, and narrowing takes O(n + t) halvings.  No step enumerates the
-divisors of a coefficient.
+the interval ends, every step is polynomial in n and t.  Only the primes that
+divide a disc(f), a the leading coefficient, fail the prime search; that is
+O(n(t + log n)) primes, each tried on all its residues.  Newton's iteration
+lifts in O(log t) steps.  The bisection tree has O(n(t + log n)) nodes
+(Eigenwillig, Sharma and Yap 2006), each an O(n^2) Taylor shift.
 
 A positive irrational count is exactly the "irrational root in this interval"
 condition the kernel operations must reject; `interior_rational_roots` rejects
@@ -188,6 +187,8 @@ def _primitive(f: list[int]) -> list[int]:
 
 def _integer_polynomial(p: Polynomial) -> list[int]:
     """The primitive integer multiple of a nonzero p."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial is identically zero")
     return _primitive(list(p._numerators[0]))
 
 
@@ -252,84 +253,94 @@ def _descartes_bound(f: list[int]) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _value_mod(f: Sequence[int], x: int, m: int) -> int:
+    """f(x) mod m."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """The sorted rational roots of a square-free primitive f, by p-adic
+    lifting (Loos 1983).
+
+    A root 0 is divided out first, so that f(0) != 0.  Every other rational
+    root is u / v in lowest terms with v | a, a the leading coefficient, and
+    u | f(0); so w = a u / v is an integer with |w| <= |a f(0)|.  q is the
+    least prime that does not divide a and at which every root of f mod q is
+    simple.  The search ends: f is square-free, so disc(f) != 0, and only the
+    primes that divide a disc(f) can fail.  Newton's iteration lifts each root
+    of f mod q to the one root of f mod M above it, M = q^(2^k) > 2 |a f(0)|.
+    u / v is one of these mod M, r, so w is the residue of a r mod M nearest
+    0, and one exact test of w / a decides.
+    """
+    roots = []
+    if f[0] == 0:
+        roots, f = [Fraction(0)], f[1:]
+    a, df = f[-1], [k * c for k, c in enumerate(f)][1:]
+    q = 2  # the least prime that does not divide a, where f and f' share no root
+    while a % q == 0 or any(q % d == 0 for d in range(2, q)) or any(
+        _value_mod(f, r, q) == 0 == _value_mod(df, r, q) for r in range(q)
+    ):
+        q += 1
+    for r in [x for x in range(q) if _value_mod(f, x, q) == 0]:
+        m = q
+        while m <= 2 * abs(a * f[0]):
+            m *= m
+            r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+        w = (a * r + m // 2) % m - m // 2
+        if _homogeneous(f, w, a)[0] == 0:
+            roots.append(Fraction(w, a))
+    return sorted(roots)
+
+
+def rational_roots(p: Polynomial) -> list[Fraction]:
+    """p's distinct rational roots, sorted (`_rational_roots`); ValueError on 0."""
+    return _rational_roots(_square_free(_integer_polynomial(p)))
+
+
 def _real_roots(
     p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]
 ) -> tuple[list[Fraction], int]:
     """p's distinct rational roots strictly inside (lo, hi), sorted, and the
     number of its distinct irrational roots there; a None end is infinite.
 
-    f is the square-free primitive integer polynomial with p's roots, and a its
-    leading coefficient.  An infinite end becomes a Cauchy bound on the roots
-    of f, and x = lo + (hi - lo) y maps the interval onto 0 < y < 1.  Descartes
-    bisection cuts that into dyadic pieces of one root each (a cut that hits a
-    root records it).  Each piece is halved by sign until it is narrower than
-    1/(2a^2) in x.  Every rational root of f has a denominator dividing a, and
-    two rationals of such denominators lie at least 1/a^2 apart.  So if the
-    piece's root is rational, it is the rational of denominator <= |a| closest
-    to the piece's midpoint (`limit_denominator`, by continued fractions), and
-    one exact test of that candidate decides.
+    f is the square-free primitive integer polynomial with p's roots.  Its
+    rational roots come from `_rational_roots`, and their linear factors are
+    divided out of f, so every real root left is irrational.  An infinite end
+    becomes a Cauchy bound on those, and x = lo + (hi - lo) y maps the interval
+    onto 0 < y < 1.  Descartes bisection halves that until each piece's bound
+    reads 0 or 1, and a piece whose bound reads 1 holds one root.  No cut and
+    no end is a root left, since both are rational.
     """
-    if p.is_zero():
-        raise ValueError("the zero polynomial is identically zero")
-    if p.is_constant():
-        return [], 0
     f = _square_free(_integer_polynomial(p))
-    n, lead = len(f) - 1, f[-1]
-    bound = 2 + max(abs(c) for c in f[:-1]) // lead
+    roots = _rational_roots(f)
+    for r in roots:
+        f = _exact_quotient(f, [-r.numerator, r.denominator])
+    inside = [r for r in roots if (lo is None or lo < r) and (hi is None or r < hi)]
+    n = len(f) - 1
+    bound = 2 + max((abs(c) for c in f[:-1]), default=0) // f[-1]
     lo = Fraction(-bound) if lo is None else lo
     hi = Fraction(bound) if hi is None else hi
-    if lo >= hi:
-        return [], 0
+    if n == 0 or lo >= hi:
+        return inside, 0
     # x = (shift + scale * y) / den
     width = hi - lo
     den = lo.denominator * width.denominator
     shift, scale = lo.numerator * width.denominator, width.numerator * lo.denominator
     g = _taylor_shift([c * den ** (n - k) for k, c in enumerate(f)], shift)
-    g = _primitive([c * scale**k for k, c in enumerate(g)])
-
-    def point(y: int, depth: int) -> Fraction:
-        """x at y / 2^depth."""
-        return Fraction((shift << depth) + scale * y, den << depth)
-
-    rational: list[Fraction] = []
-    irrational = 0
-    # a node is g on y in (c / 2^depth, (c + 1) / 2^depth), rescaled onto (0, 1)
-    nodes = [(g, 0, 0)]
+    # each node is g on a dyadic piece of 0 < y < 1, rescaled onto (0, 1)
+    irrational, nodes = 0, [_primitive([c * scale**k for k, c in enumerate(g)])]
     while nodes:
-        h, c, depth = nodes.pop()
+        h = nodes.pop()
         count = _descartes_bound(h)
-        if count == 0:
-            continue
-        if count > 1:
+        if count == 1:
+            irrational += 1
+        elif count > 1:
             left = [v << (n - k) for k, v in enumerate(h)]
-            right = _taylor_shift(left, 1)
-            if right[0] == 0:
-                rational.append(point(2 * c + 1, depth + 1))
-            nodes += [(left, 2 * c, depth + 1), (right, 2 * c + 1, depth + 1)]
-            continue
-        # One simple root inside.  Divide out a root at the node's left end, so
-        # that the sign there is the sign left of the root.
-        if h[0] == 0:
-            h = h[1:]
-        positive_left = h[0] > 0
-        y, steps = 0, 0
-        while 2 * lead * lead * scale >= den << (depth + steps):
-            y, steps = 2 * y + 1, steps + 1
-            mid, _ = _homogeneous(h, y, 1 << steps)
-            if mid == 0:
-                rational.append(point((c << steps) + y, depth + steps))
-                break
-            if (mid > 0) != positive_left:
-                y -= 1
-        else:
-            y, depth = (c << steps) + y, depth + steps
-            guess = point(2 * y + 1, depth + 1).limit_denominator(lead)
-            inside = point(y, depth) < guess < point(y + 1, depth)
-            if inside and _homogeneous(f, guess.numerator, guess.denominator)[0] == 0:
-                rational.append(guess)
-            else:
-                irrational += 1
-    return sorted(rational), irrational
+            nodes += [left, _taylor_shift(left, 1)]
+    return inside, irrational
 
 
 def interior_rational_roots(

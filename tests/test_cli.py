@@ -582,3 +582,44 @@ def test_max_period_below_one_is_rejected(command, bound, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --max-period must be at least 1\n"
+
+
+THREE_PIECE_CYCLES = """\
+chain three_piece: 2 cycle(s) with period <= 6
+cycle 1: period 1, countably_additive
+  coordinate 1: 1*atom(5/18)
+  mean: 1*atom(5/18)
+  independent coordinates: yes (rank 1)
+cycle 2: period 2, purely_finitely_additive
+  coordinate 1: 1*left_limit(5/18)
+  coordinate 2: 1*right_limit(5/18)
+  mean: 1/2*right_limit(5/18) + 1/2*left_limit(5/18)
+  independent coordinates: yes (rank 2)
+"""
+
+
+def test_cycles_of_a_three_piece_quadratic_map_at_the_default_bound(tmp_path, capsys):
+    # closed walks of six pieces compose to degree-64 polynomials with leading
+    # coefficients of about 600 bits
+    cuts = [("0", "1/3", False), ("1/3", "1/2", False), ("1/2", "1", True)]
+    coeffs = [["5/8", "0", "-9/2"], ["3", "-18", "27"], ["0", "1", "-1"]]
+    path = tmp_path / "three_piece.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "three_piece",
+                "kind": "deterministic",
+                "space": [{"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True}],
+                "pieces": [
+                    {"piece": {"lo": lo, "hi": hi, "lo_closed": True, "hi_closed": closed},
+                     "poly_coeffs": c}
+                    for (lo, hi, closed), c in zip(cuts, coeffs)
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["cycles", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == THREE_PIECE_CYCLES
+    assert captured.err == ""

@@ -30,6 +30,7 @@ from measurecycles import (
     measure_rank,
     verify_cycle,
 )
+from measurecycles import polynomials
 from measurecycles.cycles import _least_rotation, _rotations, _serial_key
 from measurecycles.errors import NotACycle, PeriodMismatch
 from support import (
@@ -537,3 +538,40 @@ def test_cycle_sum_requires_same_kernel():
     b = Cycle(k2, (Measure.dirac(F(0)), Measure.dirac(F(1))))
     with pytest.raises(ValueError):
         cycle_sum(a, b)
+
+
+# -- a map whose closed walks compose to polynomials with 300-bit leads ---------
+
+
+def three_piece_quadratic_map():
+    """[0, 1/3) -> 5/8 - 9x^2/2, [1/3, 1/2) -> 3 - 18x + 27x^2 and
+    [1/2, 1] -> x - x^2, each piece monotone; its one rational periodic point
+    is the fixed point 5/18."""
+    pieces = (
+        (Interval(F(0), F(1, 3), True, False), Polynomial.of(F(5, 8), 0, F(-9, 2))),
+        (Interval(F(1, 3), F(1, 2), True, False), Polynomial.of(3, -18, 27)),
+        (Interval(F(1, 2), F(1), True, True), Polynomial.of(0, 1, -1)),
+    )
+    return DeterministicKernel(SetExpr.interval(0, 1, True, True), pieces)
+
+
+def test_three_piece_quadratic_map_finds_its_cycles_without_refining_roots(monkeypatch):
+    # the count of Horner evaluations bounds the work without a clock; halving
+    # each root of P(x) - x down to width 1/(2 a^2) would take tens of thousands
+    calls = []
+    homogeneous = polynomials._homogeneous
+    monkeypatch.setattr(polynomials, "_homogeneous", lambda *a: calls.append(1) or homogeneous(*a))
+    k = three_piece_quadratic_map()
+    at = F(5, 18)
+    expected = [(Measure.dirac(at),), (Measure.left_germ(at), Measure.right_germ(at))]
+    for m in (5, 6):
+        calls.clear()
+        assert [c.coords for c in enumerate_cycles(k, m)] == expected
+        assert len(calls) <= 1000
+
+
+def test_three_piece_quadratic_map_atom_cycles_match_sympy():
+    listed = enumerate_cycles(three_piece_quadratic_map(), 5)
+    atoms = {tuple(mu.atom_support()[0] for mu in c.coords) for c in listed
+             if c.classify() is CycleKind.COUNTABLY_ADDITIVE}
+    assert atoms == sympy_atom_cycles(three_piece_quadratic_map(), 5) == {(F(5, 18),)}

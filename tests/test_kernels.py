@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import measurecycles
+import measurecycles.polynomials as polynomials
 
 from measurecycles import (
     DeterministicKernel,
@@ -26,6 +27,7 @@ from measurecycles import (
 from measurecycles.errors import (
     AmbiguousPiece,
     IrrationalBreakpointPreimage,
+    IrrationalCriticalPoint,
     MeasureChainError,
     NonAtomicGenerator,
     PointEscapesSpace,
@@ -575,3 +577,17 @@ def test_map_image_of_a_sub_interval():
     unit = SetExpr.interval(0, 1, True, True)
     sq = DeterministicKernel(unit, ((unit.components[0], Polynomial.of(0, 0, 1)),))
     assert sq.image(SetExpr.interval(F(1, 2), 1, True, False)) == SetExpr.interval(F(1, 4), 1, True, False)
+
+
+def test_a_piece_with_600_digit_coefficients_has_irrational_critical_points(monkeypatch):
+    # the count of Horner evaluations bounds the work without a clock; halving
+    # each critical point down to width 1/(2 a^2) would take about 12000
+    calls = []
+    homogeneous = polynomials._homogeneous
+    monkeypatch.setattr(polynomials, "_homogeneous", lambda *a: calls.append(1) or homogeneous(*a))
+    rng = random.Random(600)
+    coeffs = [rng.randint(-(10**600), 10**600) for _ in range(12)] + [rng.randint(10**599, 10**600)]
+    line = Interval(None, None)
+    with pytest.raises(IrrationalCriticalPoint, match="has an irrational critical point inside"):
+        DeterministicKernel(SetExpr((line,)), ((line, Polynomial.of(*coeffs)),))
+    assert len(calls) <= 100
