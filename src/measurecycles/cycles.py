@@ -290,15 +290,16 @@ def _periodic_generators(kernel: DeterministicKernel, m: int) -> list[Cycle]:
     of period <= m at a rational location.
 
     An orbit follows a closed walk of pieces, i -> j when the image of piece i
-    meets piece j (a germ's one-sided neighbourhood maps into it too); from
-    its least piece s the walk stays on pieces >= s.  The orbit's location in
-    piece s is then a rational root of P(x) - x, P the walk's pieces composed,
-    or an end of the piece when P(x) = x; `_boundary_seeds` keeps the
-    generators that piece s holds there, and its masses at infinity.
+    meets piece j (a germ's one-sided neighbourhood maps into it too), read
+    with one lookup per image component (`Partition.meets`).  From its least
+    piece s the walk stays on pieces >= s.  The orbit's location in piece s
+    is then a rational root of P(x) - x, P the walk's pieces composed, or an
+    end of the piece when P(x) = x; `_boundary_seeds` keeps the generators
+    that piece s holds there, and its masses at infinity.
     """
     pieces, n = kernel.pieces, len(kernel.pieces)
     held = [SetExpr((comp,)) for comp, _ in pieces]
-    edges = [[j for j in range(n) if image.intersects(held[j])] for image in kernel._images]
+    edges = [kernel._partition.meets(image.components) for image in kernel._images]
     seeds: dict[Measure, None] = {}
     for s, (_, poly) in enumerate(pieces):
         back, frontier = {}, [s]  # back[i]: the fewest edges from i to s over pieces >= s
@@ -346,8 +347,10 @@ def enumerate_cycles(kernel: Kernel, max_period: int) -> list[Cycle]:
     combination of such orbits.  Not listed: irrational periodic points, and
     the interior of a continuum cell (a closed walk composing to the
     identity), of which only the orbits at the piece ends are.  Cost: one
-    composition and one rational-root search per closed walk of length <= m,
-    each of degree at most d^m, d the largest piece degree.
+    partition lookup per image component for the itinerary graph, and no set
+    intersection; then one composition and one rational-root search per
+    closed walk of length <= m, each of degree at most d^m, d the largest
+    piece degree.
     """
     if isinstance(kernel, StochasticKernel):
         cycles = (

@@ -14,6 +14,11 @@ the images ``push_generator`` gives), ``transition_prob`` a pushed atom read
 on a set, ``pull_function`` the composition action on observables;
 ``integrate(pull_function(f), mu) == integrate(f, push_measure(mu))`` holds
 exactly.
+
+A map pushes each generator once: ``DeterministicKernel.push_generator``
+keeps its images in a dict that lives and dies with the kernel instance.  The
+kernel is frozen, so a stored image is what a recomputation would give; a
+push that raises is not stored, and raises again on every call.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ class DeterministicKernel(PiecewisePolyFunction):
                 )
             images.append(image)
         object.__setattr__(self, "_images", tuple(images))
+        object.__setattr__(self, "_pushed", {})
 
     # -- transitions ------------------------------------------------------------
 
@@ -132,6 +138,12 @@ class DeterministicKernel(PiecewisePolyFunction):
         return _unit(GeneratorKind.MINUS_INFINITY)
 
     def push_generator(self, gen: Generator) -> Measure:
+        pushed = self._pushed.get(gen)
+        if pushed is None:
+            pushed = self._pushed[gen] = self._push_generator(gen)
+        return pushed
+
+    def _push_generator(self, gen: Generator) -> Measure:
         kind = gen.kind
         if kind is GeneratorKind.ATOM:
             return _unit(kind, self.map_point(gen.location))

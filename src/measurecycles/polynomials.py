@@ -265,19 +265,22 @@ def _rational_roots(f: list[int]) -> list[Fraction]:
     """The sorted rational roots of a square-free primitive f, by p-adic
     lifting (Loos 1983).
 
-    A root 0 is divided out first, so that f(0) != 0.  Every other rational
-    root is u / v in lowest terms with v | a, a the leading coefficient, and
-    u | f(0); so w = a u / v is an integer with |w| <= |a f(0)|.  q is the
-    least prime that does not divide a and at which every root of f mod q is
-    simple.  The search ends: f is square-free, so disc(f) != 0, and only the
-    primes that divide a disc(f) can fail.  Newton's iteration lifts each root
-    of f mod q to the one root of f mod M above it, M = q^(2^k) > 2 |a f(0)|.
-    u / v is one of these mod M, r, so w is the residue of a r mod M nearest
-    0, and one exact test of w / a decides.
+    A root 0 is divided out first, so that f(0) != 0; a constant left has no
+    root and a linear one has -f(0) / f(1).  Every other rational root is u / v
+    in lowest terms with v | a, a the leading coefficient, and u | f(0); so
+    w = a u / v is an integer with |w| <= |a f(0)|.  q is the least prime that
+    does not divide a and at which every root of f mod q is simple.  The
+    search ends: f is square-free, so disc(f) != 0, and only the primes that
+    divide a disc(f) can fail.  Newton's iteration lifts each root of f mod q
+    to the one root of f mod M above it, M = q^(2^k) > 2 |a f(0)|.  u / v is
+    one of these mod M, r, so w is the residue of a r mod M nearest 0, and one
+    exact test of w / a decides.
     """
     roots = []
     if f[0] == 0:
         roots, f = [Fraction(0)], f[1:]
+    if len(f) <= 2:
+        return roots if len(f) == 1 else sorted(roots + [Fraction(-f[0], f[1])])
     a, df = f[-1], [k * c for k, c in enumerate(f)][1:]
     q = 2  # the least prime that does not divide a, where f and f' share no root
     while a % q == 0 or any(q % d == 0 for d in range(2, q)) or any(

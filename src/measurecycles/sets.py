@@ -5,12 +5,16 @@ canonical form (pairwise disjoint, non-adjacent components sorted left to
 right) so equality, hashing and serialization are structural.  Endpoints are
 rational; ``None`` stands for an infinite endpoint (always open).
 
-One lookup answers "which component holds this generator" (an atom, a germ
-on either side of a point, or a tail) for sets, piecewise functions and
-kernels alike: `Partition.find`, one bisection over integer keys of the
-cuts, in time polynomial in their bit size.  It relies on the components
-being pairwise disjoint; canonical sets are, and piecewise functions check
-it when they are built.
+All cut-and-piece bookkeeping runs on one integer grid (`_Grid`): the cuts
+(finite ends and points) are scaled by the lcm of their denominators, then
+deduplicated, sorted and bisected as integers.  A key has at most the bits of
+its cut plus those of the distinct denominators, so every step costs time
+polynomial in the bit size of the input.  The boolean operators mark the
+pieces each operand covers on the grid of all their cuts, and one lookup,
+`Partition.find`, answers "which component holds this generator" (an atom, a
+germ on either side of a point, or a tail) for sets, piecewise functions and
+kernels alike.  It relies on the components being pairwise disjoint;
+canonical sets are, and piecewise functions check it when they are built.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rationals import format_rational, parse_rational
 
@@ -80,14 +84,10 @@ def _component_holds(comp: Component, kind: str, x: Optional[Fraction] = None) -
     return lo is None
 
 
-def _component_cuts(comp: Component) -> Iterator[Fraction]:
+def _component_cuts(comp: Component) -> list[Fraction]:
     if isinstance(comp, Point):
-        yield comp.value
-    else:
-        if comp.lo is not None:
-            yield comp.lo
-        if comp.hi is not None:
-            yield comp.hi
+        return [comp.value]
+    return [c for c in (comp.lo, comp.hi) if c is not None]
 
 
 def _elementary_pieces(cuts: Sequence[Fraction]) -> list[tuple[str, Optional[Fraction]]]:
@@ -106,31 +106,54 @@ def _elementary_pieces(cuts: Sequence[Fraction]) -> list[tuple[str, Optional[Fra
 
 
 def _cuts(comps: Iterable[Component]) -> list[Fraction]:
-    return sorted({c for comp in comps for c in _component_cuts(comp)})
+    return list(_Grid(comps).cuts)
 
 
-def _piece_run(comp: Component, cuts: Sequence[Fraction]) -> tuple[int, int]:
-    """The first and last of the `_elementary_pieces(cuts)` that a component
-    covers, for cuts that include its ends."""
-    if isinstance(comp, Point):
-        j = 2 * bisect_left(cuts, comp.value) + 1
-        return j, j
-    lo, hi = comp.lo, comp.hi
-    first = 0 if lo is None else 2 * bisect_left(cuts, lo) + (1 if comp.lo_closed else 2)
-    last = 2 * len(cuts) if hi is None else 2 * bisect_left(cuts, hi) + (1 if comp.hi_closed else 0)
-    return first, last
+class _Grid:
+    """The components' sorted distinct cuts on one integer scale, the lcm of
+    their denominators: cut c is keyed by c*scale and a location x falls by
+    the floor and remainder of x*scale, bisected among the keys."""
 
+    def __init__(self, comps: Iterable[Component]):
+        ends = [c for comp in comps for c in _component_cuts(comp)]
+        self._scale = scale = lcm(*{c.denominator for c in ends})
+        keyed = {c.numerator * (scale // c.denominator): c for c in ends}
+        self._keys = sorted(keyed)
+        self.cuts = tuple(keyed[k] for k in self._keys)  # sorted, distinct
 
-def _piece_flags(comps: Iterable[Component], cuts: list[Fraction]) -> list[bool]:
-    """Which of the `_elementary_pieces(cuts)` the components cover, for cuts
-    that include all their ends: a difference array marks +1 where a
-    component's run of pieces starts and -1 just past its end."""
-    depth = [0] * (2 * len(cuts) + 2)
-    for comp in comps:
-        first, last = _piece_run(comp, cuts)
-        depth[first] += 1
-        depth[last + 1] -= 1
-    return [d > 0 for d in accumulate(depth[:-1])]
+    def _piece(self, kind: str, x: Optional[Fraction] = None) -> int:
+        """The one of the `_elementary_pieces` that holds the generator `kind` at x."""
+        keys = self._keys
+        if kind == "minus_infinity":
+            return 0
+        if kind == "plus_infinity":
+            return 2 * len(keys)
+        q, r = divmod(x.numerator * self._scale, x.denominator)
+        j = bisect_right(keys, q) if r else bisect_left(keys, q)  # cuts below x
+        if j < len(keys) and keys[j] == q:  # x is cut j
+            return 2 * j + 1 if kind == "atom" else 2 * j + 2 if kind == "right_limit" else 2 * j
+        return 2 * j
+
+    def _run(self, comp: Component) -> tuple[int, int]:
+        """The pieces holding a component's first and last generator."""
+        if isinstance(comp, Point):
+            return (self._piece("atom", comp.value),) * 2
+        lo, hi = comp.lo, comp.hi
+        first = self._piece("minus_infinity" if lo is None else "atom" if comp.lo_closed else "right_limit", lo)
+        return first, self._piece("plus_infinity" if hi is None else "atom" if comp.hi_closed else "left_limit", hi)
+
+    def _set(self, flags: list[bool]) -> "SetExpr":
+        return SetExpr(_assemble(_elementary_pieces(self.cuts), flags))
+
+    def _flags(self, comps: Iterable[Component]) -> list[bool]:
+        """Which pieces the components cover, for ends among the cuts: +1
+        where a component's run starts and -1 just past it, summed."""
+        depth = [0] * (2 * len(self._keys) + 2)
+        for comp in comps:
+            first, last = self._run(comp)
+            depth[first] += 1
+            depth[last + 1] -= 1
+        return [d > 0 for d in accumulate(depth[:-1])]
 
 
 def _assemble(pieces: list[tuple[str, Optional[Fraction]]], flags: list[bool]) -> tuple[Component, ...]:
@@ -158,17 +181,15 @@ def _assemble(pieces: list[tuple[str, Optional[Fraction]]], flags: list[bool]) -
     return tuple(comps)
 
 
-class Partition:
-    """Components indexed by the elementary pieces of their cuts.
+class Partition(_Grid):
+    """Components indexed by the elementary pieces of their cuts' `_Grid`.
 
-    At construction each of the `_elementary_pieces` of the sorted cuts is
-    mapped to the component that covers it, or None.  Components are numbered
-    in line order, and `order` lists each one's index in the order it came.
-    A lookup finds the one piece that holds a generator and reads its owner.
-    It compares integers only: with D the lcm of the cut denominators, cut c
-    is keyed by c*D and a location x by the floor and remainder of x*D.  D has
-    at most as many bits as the cut denominators together, so a lookup costs
-    time polynomial in the bit size of the input.
+    At construction each piece is mapped to the component that covers it, or
+    None.  Components are numbered in line order, and `order` lists each one's
+    index in the order it came.  A lookup places a generator on its piece by
+    the grid's key rule and reads the owner: one bisection over integers with
+    at most the bits of a cut plus those of the distinct cut denominators, so
+    it costs time polynomial in the bit size of the input.
 
     Lookups assume the components are pairwise disjoint; `first_overlap`
     checks that, and the pieces are filled only up to the first overlap.
@@ -176,12 +197,10 @@ class Partition:
 
     def __init__(self, components: Iterable[Component]):
         given = tuple(components)
-        self._cuts = tuple(_cuts(given))
-        self._scale = lcm(*(c.denominator for c in self._cuts))
-        self._keys = [c.numerator * (self._scale // c.denominator) for c in self._cuts]
-        runs = [_piece_run(comp, self._cuts) for comp in given]
+        super().__init__(given)
+        runs = [self._run(comp) for comp in given]
         self.order = tuple(sorted(range(len(given)), key=lambda i: runs[i][0]))
-        self._owner: list[Optional[int]] = [None] * (2 * len(self._cuts) + 1)
+        self._owner: list[Optional[int]] = [None] * (2 * len(self._keys) + 1)
         self._overlap: Optional[Component] = None
         end = -1  # the last piece owned so far
         for rank, i in enumerate(self.order):
@@ -192,25 +211,16 @@ class Partition:
             self._owner[first : last + 1] = [rank] * (last + 1 - first)
             end = last
 
-    @property
-    def cuts(self) -> tuple[Fraction, ...]:
-        """The components' finite ends and points, sorted and deduplicated."""
-        return self._cuts
-
     def find(self, kind: str, x: Optional[Fraction] = None) -> Optional[int]:
         """Index (in line order) of the component holding the generator `kind`
         at x, or None."""
-        owner = self._owner
-        if kind == "minus_infinity":
-            return owner[0]
-        if kind == "plus_infinity":
-            return owner[-1]
-        keys = self._keys
-        q, r = divmod(x.numerator * self._scale, x.denominator)
-        j = bisect_right(keys, q) if r else bisect_left(keys, q)  # cuts below x
-        if j < len(keys) and keys[j] == q:  # x is cut j
-            return owner[2 * j + 1 if kind == "atom" else 2 * j + 2 if kind == "right_limit" else 2 * j]
-        return owner[2 * j]
+        return self._owner[self._piece(kind, x)]
+
+    def meets(self, comps: Iterable[Component]) -> list[int]:
+        """Indices (in line order) of the components that meet any of comps,
+        whose ends need not be cuts: the owners of the pieces in their runs."""
+        owners = {o for first, last in map(self._run, comps) for o in self._owner[first : last + 1]}
+        return sorted(owners - {None})
 
     def first_overlap(self) -> Optional[Component]:
         """The first component in line order that meets an earlier one, or None."""
@@ -218,7 +228,7 @@ class Partition:
 
     def union(self) -> "SetExpr":
         """The union of the components, for pairwise disjoint ones."""
-        return SetExpr(_assemble(_elementary_pieces(self._cuts), [o is not None for o in self._owner]))
+        return self._set([o is not None for o in self._owner])
 
 
 @dataclass(frozen=True)
@@ -249,15 +259,15 @@ class SetExpr:
     def from_components(components: Iterable[Component]) -> "SetExpr":
         """Union of arbitrary (possibly overlapping) components, canonicalized."""
         comps = tuple(components)
-        cuts = _cuts(comps)
-        return SetExpr(_assemble(_elementary_pieces(cuts), _piece_flags(comps, cuts)))
+        grid = _Grid(comps)
+        return grid._set(grid._flags(comps))
 
     # -- boolean algebra ---------------------------------------------------
 
     def _combine(self, other: "SetExpr", op) -> "SetExpr":
-        cuts = _cuts(self.components + other.components)
-        a, b = _piece_flags(self.components, cuts), _piece_flags(other.components, cuts)
-        return SetExpr(_assemble(_elementary_pieces(cuts), list(map(op, a, b))))
+        grid = _Grid(self.components + other.components)
+        a, b = grid._flags(self.components), grid._flags(other.components)
+        return grid._set(list(map(op, a, b)))
 
     def __or__(self, other: "SetExpr") -> "SetExpr":
         return self._combine(other, lambda a, b: a or b)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from measurecycles import Polynomial
-from measurecycles.polynomials import rational_roots
+from measurecycles import Polynomial, polynomials
+from measurecycles.polynomials import _real_roots, rational_roots
 
 F = Fraction
 X = sympy.Symbol("x")
@@ -93,3 +93,32 @@ def test_no_rational_root_and_constants():
     assert rational_roots(Polynomial.constant(F(5, 3))) == []
     with pytest.raises(ValueError):
         rational_roots(Polynomial.of())
+
+
+def test_constants_and_linear_polynomials_match_sympy(monkeypatch):
+    # a constant or linear f is answered before the prime search, which
+    # evaluates f mod q
+    searched = []
+    value_mod = polynomials._value_mod
+    monkeypatch.setattr(polynomials, "_value_mod", lambda *a: searched.append(1) or value_mod(*a))
+    rng = random.Random(2026)
+    x = Polynomial.identity()
+    polys = [Polynomial.constant(_random_rational(rng, 40) or 1) for _ in range(20)]
+    for _ in range(60):
+        a, b = _random_rational(rng, rng.randint(1, 40)), _random_rational(rng, rng.randint(1, 40)) or F(1)
+        polys += [Polynomial.of(a, b), Polynomial.of(a, -abs(b)), Polynomial.of(0, b)]
+    polys += [x, -x, Polynomial.of(0, F(-10**40, 7)), Polynomial.of(F(10**39, 3), -1)]
+    for p in polys:
+        assert rational_roots(p) == _sympy_rational_roots(p), p
+    assert sum(p.degree() == 1 and p.leading() < 0 for p in polys) >= 60
+    assert sum(p.degree() == 1 and p(F(0)) == 0 for p in polys) >= 60
+    assert not searched
+    # with a root 0 divided out, what is left is a constant or linear
+    assert rational_roots(x * Polynomial.of(F(-7, 3), F(10**40 + 1, 9))) == [F(0), F(21, 10**40 + 1)]
+    assert not searched
+
+
+def test_real_roots_of_a_constant():
+    for c in (F(1), F(-5, 3), F(10**40 + 1, 7)):
+        for lo, hi in ((None, None), (F(0), F(1)), (None, F(-2)), (F(3, 2), None)):
+            assert _real_roots(Polynomial.constant(c), lo, hi) == ([], 0)
